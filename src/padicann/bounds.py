@@ -13,12 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
 from .errors import RankOutOfRange, RankTooLarge, UnsupportedRegime
-from .series import delta
-
-
-def _check_regime(p: int, e: int) -> None:
-    if e < 1 or p <= e + 1:
-        raise UnsupportedRegime(f"need p > e + 1, got p = {p}, e = {e}")
+from .series import _check_regime, delta
 
 
 def disk_count_bound(q: int, g: int, t: int) -> int:

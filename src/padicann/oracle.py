@@ -25,7 +25,7 @@ from .curves import (
     _vp,
 )
 from .errors import CertificationFailed, CoverageGap, DoubleCover
-from .scanner import active_kernel, scan_candidates
+from .scanner import scan_candidates
 from .series import LaurentPoly
 
 
@@ -41,7 +41,6 @@ class SearchResult:
     affine: Tuple[Tuple[Fraction, Fraction], ...]
     infinity_points: int
     height: int
-    kernel: str
 
     @property
     def count(self) -> int:
@@ -52,7 +51,6 @@ class SearchResult:
             "count": self.count,
             "infinity_points": self.infinity_points,
             "height": self.height,
-            "kernel": self.kernel,
             "affine": [[str(x), str(y)] for x, y in self.affine],
         }
 
@@ -111,7 +109,7 @@ def search_rational_points(f, height: int) -> SearchResult:
         inf = 1
     else:
         inf = 2 if lc > 0 and math.isqrt(lc) ** 2 == lc else 0
-    return SearchResult(tuple(sorted(points)), inf, height, active_kernel())
+    return SearchResult(tuple(sorted(points)), inf, height)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,12 @@ def test_search_points(capsys):
     assert ["-1", "0"] in rep["affine"]
 
 
+def test_search_points_degree_16(capsys):
+    rep = run_json(capsys, "search-points", ",".join(["1"] + ["0"] * 15 + ["1"]),
+                   "--height", "5")
+    assert rep["count"] == 4  # (0, +-1) and two points at infinity
+
+
 def test_verify_cover(capsys, octic_file):
     rep = run_json(capsys, "verify-cover", octic_file, "--precision", "4")
     assert rep["ok"] is True

@@ -3,8 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicann import _scan_np
+from padicann import scanner
 from padicann.curves import HyperellipticCurve, decompose
 from padicann.errors import CertificationFailed, CoverageGap, DoubleCover
 from padicann.oracle import (
@@ -12,12 +14,7 @@ from padicann.oracle import (
     search_rational_points,
     verify_decomposition_cover,
 )
-from padicann.scanner import (
-    SCAN_MODULI,
-    active_kernel,
-    scan_candidates,
-    scan_candidates_reference,
-)
+from padicann.scanner import SCAN_MODULI, scan_candidates
 from padicann.series import LaurentPoly, count_zeros_valuation_range
 
 
@@ -33,50 +30,78 @@ def monic_from_roots(roots):
 
 
 # ---------------------------------------------------------------------------
-# scan kernels
+# scan kernel
 # ---------------------------------------------------------------------------
 
+SCAN_INPUTS = [
+    [1, 0, 0, 0, 0, 0, 0, 1],
+    [3, -2, 0, 1, 0, 5],
+    [4, 4],
+    [7],
+    [],
+    [1, 0, 0, 0, 0, 0, 1],  # even degree
+    [2, 0, 1, 0, 0, -3],  # negative leading coefficient
+    [-5, 1, 0, 4],  # non-monic
+    [1] + [0] * 15 + [1],  # degree 16
+    [1, -1] + [0] * 16 + [2],  # degree 18
+    [2**64 + 5, 0, 0, 1],  # a coefficient above 2^63
+]
 
-@pytest.mark.parametrize(
-    "coeffs",
-    [
-        [1, 0, 0, 0, 0, 0, 0, 1],
-        [3, -2, 0, 1, 0, 5],
-        [4, 4],
-        [7],
-        [],
-    ],
-)
+
+def _G(coeffs, a, b):
+    n = len(coeffs) - 1
+    return sum(c * a**i * b ** (2 * n - i) for i, c in enumerate(coeffs))
+
+
+def _exact_filter(coeffs, h):
+    """Every (a, b), b-major, with G(a, b) a square mod every scan modulus."""
+    if not coeffs:  # no polynomial, no curve
+        return []
+    squares = {m: {r * r % m for r in range(m)} for m in SCAN_MODULI}
+    return [
+        (a, b)
+        for b in range(1, h + 1)
+        for a in range(-h, h + 1)
+        if all(_G(coeffs, a, b) % m in squares[m] for m in SCAN_MODULI)
+    ]
+
+
+@pytest.mark.parametrize("coeffs", SCAN_INPUTS)
 def test_kernel_parity(coeffs):
-    assert scan_candidates(coeffs, 40) == scan_candidates_reference(coeffs, 40)
+    assert scan_candidates(coeffs, 40) == _exact_filter(coeffs, 40)
+
+
+@given(
+    coeffs=st.lists(st.integers(-(2**70), 2**70), min_size=2, max_size=21),
+    h=st.integers(1, 8),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_parity_random(coeffs, h):
+    assert scan_candidates(coeffs, h) == _exact_filter(coeffs, h)
+
+
+def test_kernel_parity_across_blocks(monkeypatch):
+    # a small block size makes the scan gather b-rows in many blocks
+    monkeypatch.setattr(scanner, "_BLOCK_CELLS", 200)
+    coeffs = [3, -2, 0, 1, 0, 5]
+    assert scan_candidates(coeffs, 40) == _exact_filter(coeffs, 40)
 
 
 def test_kernel_order_is_b_major_a_ascending():
-    out = scan_candidates_reference([0, 1], 6)
+    out = scan_candidates([0, 1], 6)
     assert out == sorted(out, key=lambda ab: (ab[1], ab[0]))
 
 
 def test_kernel_no_false_negatives():
     # every pair whose G value is a square must survive the filter
-    coeffs = [1, 0, 0, 0, 0, 1]  # x^5 + 1
-    n = len(coeffs) - 1
     h = 25
-    survivors = set(scan_candidates(coeffs, h))
-    for b in range(1, h + 1):
-        for a in range(-h, h + 1):
-            g = sum(c * a**i * b ** (2 * n - i) for i, c in enumerate(coeffs))
-            if g >= 0 and math.isqrt(g) ** 2 == g:
-                assert (a, b) in survivors
-
-
-def test_kernel_degree_guard():
-    with pytest.raises(ValueError):
-        _scan_np.scan_candidates([1] * 17, 5)
-
-
-def test_active_kernel_names_a_real_kernel():
-    assert active_kernel() in ("cython", "numpy")
-    assert len(SCAN_MODULI) == 4
+    for coeffs in filter(None, SCAN_INPUTS):  # [] is no curve
+        survivors = set(scan_candidates(coeffs, h))
+        for b in range(1, h + 1):
+            for a in range(-h, h + 1):
+                g = _G(coeffs, a, b)
+                if g >= 0 and math.isqrt(g) ** 2 == g:
+                    assert (a, b) in survivors, (coeffs, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +116,6 @@ def test_search_odd_degree_example():
     assert (Fraction(0), Fraction(-1)) in r.affine
     assert (Fraction(-1), Fraction(0)) in r.affine
     assert r.count == 4
-    assert r.kernel == active_kernel()
 
 
 def test_search_even_degree_square_lc():
@@ -112,11 +136,8 @@ def test_search_involution_and_order():
     assert list(r.affine) == sorted(r.affine)
 
 
-def test_search_matches_naive_enumeration():
-    # independent brute force over the same height box, fractional coeffs too
-    coeffs = [Fraction(1, 4), 0, 0, 0, 0, 1]
-    h = 12
-    r = search_rational_points(coeffs, h)
+def _naive_points(coeffs, h):
+    """Independent gcd/isqrt brute force over the height box."""
     expected = set()
     for b in range(1, h + 1):
         for a in range(-h, h + 1):
@@ -131,7 +152,21 @@ def test_search_matches_naive_enumeration():
                 y = Fraction(math.isqrt(num), math.isqrt(den))
                 expected.add((x, y))
                 expected.add((x, -y))
-    assert set(r.affine) == expected
+    return expected
+
+
+def test_search_matches_naive_enumeration():
+    # fractional coefficients too
+    coeffs = [Fraction(1, 4), 0, 0, 0, 0, 1]
+    r = search_rational_points(coeffs, 12)
+    assert set(r.affine) == _naive_points(coeffs, 12)
+
+
+def test_search_degree_16():
+    coeffs = [1] + [0] * 15 + [1]
+    r = search_rational_points(coeffs, 5)
+    assert set(r.affine) == _naive_points(coeffs, 5)
+    assert r.infinity_points == 2
 
 
 def test_search_rejects_nonsquarefree_and_trivial():
