@@ -27,6 +27,13 @@ from .errors import (
     PrecisionInsufficient,
     UnsupportedRegime,
 )
+from .intpoly import (
+    clear_denominators,
+    poly_derivative,
+    poly_eval,
+    squarefree_coefficients,
+    vp,
+)
 from .padic import DEFAULT_PRECISION, INF, PAdic, is_square, sqrt
 
 ODD = "odd"
@@ -35,44 +42,8 @@ WEIERSTRASS = "weierstrass"
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial utilities and Q_p root finding
+# Q_p root finding
 # ---------------------------------------------------------------------------
-
-
-def _clear_denominators(coeffs: Sequence[Fraction]) -> List[int]:
-    """Scale to integer coefficients and divide out the content."""
-    fracs = [Fraction(c) for c in coeffs]
-    lcm = 1
-    for c in fracs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in fracs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    if content > 1:
-        ints = [c // content for c in ints]
-    return ints
-
-
-def _poly_eval(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_derivative(coeffs: Sequence[int]) -> List[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _vp(n: int, p: int, cap: int) -> int:
-    if n == 0:
-        return cap
-    v = 0
-    while n % p == 0 and v < cap:
-        n //= p
-        v += 1
-    return v
 
 
 def _newton_refine(coeffs, deriv, a: int, vd: int, p: int, target: int) -> int:
@@ -80,10 +51,10 @@ def _newton_refine(coeffs, deriv, a: int, vd: int, p: int, target: int) -> int:
     modulus = p ** (target + vd)
     x = a % modulus
     for _ in range(target + 64):
-        fx = _poly_eval(coeffs, x)
-        if fx % modulus == 0 and _vp(fx, p, target + vd) >= target + vd:
+        fx = poly_eval(coeffs, x)
+        if fx % modulus == 0 and vp(fx, p, target + vd) >= target + vd:
             break
-        u = _poly_eval(deriv, x) // p**vd
+        u = poly_eval(deriv, x) // p**vd
         t = fx // p**vd
         x = (x - t * pow(u, -1, modulus)) % modulus
     return x % p**target
@@ -113,17 +84,17 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int) -> List[int]:
     terms; branches failing that are pruned.  Branches still alive but
     uncertified at depth `prec` cannot be separated at this precision.
     """
-    deriv = _poly_derivative(coeffs)
+    deriv = poly_derivative(coeffs)
     cap = prec
     vcap = 2 * prec + 8
 
     def may_contain_root(b: int, k: int) -> bool:
         taylor = _taylor_values(coeffs, b)
-        v0 = _vp(taylor[0], p, vcap)
+        v0 = vp(taylor[0], p, vcap)
         if v0 < k:
             return False
         best = min(
-            (_vp(t, p, vcap) + i * k for i, t in enumerate(taylor) if i > 0),
+            (vp(t, p, vcap) + i * k for i, t in enumerate(taylor) if i > 0),
             default=vcap,
         )
         return v0 >= min(best, vcap)
@@ -135,8 +106,8 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int) -> List[int]:
             break
         survivors = []
         for a in frontier:
-            va = _vp(_poly_eval(coeffs, a), p, vcap)
-            vd = _vp(_poly_eval(deriv, a), p, vcap)
+            va = vp(poly_eval(coeffs, a), p, vcap)
+            vd = vp(poly_eval(deriv, a), p, vcap)
             if va > 2 * vd and k > vd and va >= k + vd:
                 roots.append(_newton_refine(coeffs, deriv, a, vd, p, prec))
                 continue
@@ -158,11 +129,10 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int) -> List[int]:
 def _qp_roots(coeffs: Sequence[Fraction], p: int, prec: int) -> List[PAdic]:
     """All roots of f in Q_p (integral and not), certified simple.
 
-    Raises NonSplitInput when fewer than deg(f) roots are found.
+    ``coeffs`` has a nonzero leading coefficient.  Raises NonSplitInput
+    when fewer than deg(f) roots are found.
     """
-    ints = _clear_denominators(coeffs)
-    while ints and ints[-1] == 0:
-        ints.pop()
+    ints = clear_denominators(coeffs)
     deg = len(ints) - 1
     roots = []
     while ints and ints[0] == 0:
@@ -173,9 +143,7 @@ def _qp_roots(coeffs: Sequence[Fraction], p: int, prec: int) -> List[PAdic]:
             roots.append(PAdic.inexact_zero(p, prec))
         else:
             roots.append(PAdic.from_int(a, p, prec))
-    rev = list(reversed(ints))
-    while rev and rev[-1] == 0:
-        rev.pop()
+    rev = ints[::-1]                   # zeros 1/x of f: nonzero leading term
     one = PAdic.from_int(1, p, prec + 4)
     for b in _zp_roots(rev, p, prec):
         if b % p == 0 and b % p**prec != 0:
@@ -193,59 +161,20 @@ def _qp_roots(coeffs: Sequence[Fraction], p: int, prec: int) -> List[PAdic]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_gcd_degree(a: List[Fraction], b: List[Fraction]) -> int:
-    """Degree of gcd(a, b) over Q (Euclid on Fraction coefficients)."""
-
-    def strip(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = strip(list(a)), strip(list(b))
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        lead = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        a = strip(
-            [
-                a[i] - lead * b[i - shift] if 0 <= i - shift < len(b) else a[i]
-                for i in range(len(a) - 1)
-            ]
-        )
-        a, b = b, a
-    return len(a) - 1
-
-
 class HyperellipticCurve:
     """y^2 = f(x) with rational coefficients, over Q_p."""
 
     def __init__(self, f_coefficients, p: int, precision: int = DEFAULT_PRECISION):
-        coeffs = [Fraction(c) for c in f_coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) - 1 < 3:
-            raise ValueError("need deg f >= 3")
-        self.f = coeffs
+        self.f = coeffs = squarefree_coefficients(f_coefficients, 3)
         self.p = p
         self.precision = precision
         self.degree = len(coeffs) - 1
         self.genus = (self.degree - 1) // 2
         self.leading_coefficient = coeffs[-1]
-        if _poly_gcd_degree(coeffs, self._deriv()) > 0:
-            raise ValueError("f must be squarefree")
         self._roots = None
 
-    def _deriv(self):
-        return [i * c for i, c in enumerate(self.f)][1:]
-
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.f):
-            acc = acc * x + c
-        return acc
+        return poly_eval(self.f, Fraction(x))
 
     def roots(self) -> List[PAdic]:
         if self._roots is None:
@@ -484,12 +413,11 @@ def _rational_square_in_qp(x: Fraction, p: int) -> bool:
     """Is the nonzero rational x a square in Q_p?  (p odd.)"""
     if p == 2:
         raise UnsupportedRegime("square classes mod 2 need the odd-prime model")
-    x = Fraction(x)
-    vn = _vp(x.numerator, p, 10**6)
-    vd = _vp(x.denominator, p, 10**6)
-    if (vn - vd) % 2 != 0:
+    v = vp(x, p)
+    if v % 2 != 0:
         return False
-    r = (x.numerator // p**vn) * pow(x.denominator // p**vd, -1, p) % p
+    u = x / Fraction(p) ** v
+    r = u.numerator * pow(u.denominator, -1, p) % p
     return pow(r, (p - 1) // 2, p) == 1
 
 
@@ -503,8 +431,7 @@ def _gamma_for(curve, tree, child: ClusterNode, center: PAdic) -> PAdic:
 
 
 def _gamma_valuation_from_matrix(curve, tree, child: ClusterNode) -> Fraction:
-    lc = curve.leading_coefficient
-    v = Fraction(_vp(lc.numerator, curve.p, 10**6) - _vp(lc.denominator, curve.p, 10**6))
+    v = Fraction(vp(curve.leading_coefficient, curve.p))
     c0 = child.least
     n = len(tree.matrix)
     for j in range(n):

@@ -1,10 +1,14 @@
 """Brute-force ground truths for cross-checking the analytic machinery.
 
-Nothing here shares logic with the Newton-polygon counters or the cluster
-decomposition: rational points come from an exhaustive height scan,
-p-adic zero counts from residue enumeration plus Hensel certification,
-and coverage reports from literal membership tests on every residue
-class.  Slow by design, honest by construction.
+Rational points come from an exhaustive height scan, p-adic zero counts
+from residue enumeration plus Hensel certification, and coverage reports
+from literal membership tests on every residue class.  Nothing here calls
+the Newton-polygon counters or the cluster decomposition it checks, but
+two pieces are shared with them: the ``intpoly`` helpers (coefficient
+parsing, clearing denominators, valuations) and ``curves._newton_refine``,
+the Hensel step behind the decomposition's root finder, which also refines
+the roots counted here.  A bug in that step could fool both sides; an
+oracle with its own certification is open item 5 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -12,19 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
-from .curves import (
-    Decomposition,
-    HyperellipticCurve,
-    _clear_denominators,
-    _newton_refine,
-    _poly_derivative,
-    _poly_eval,
-    _poly_gcd_degree,
-    _vp,
-)
+from .curves import Decomposition, HyperellipticCurve, _newton_refine
 from .errors import CertificationFailed, CoverageGap, DoubleCover
+from .intpoly import clear_denominators, poly_derivative, squarefree_coefficients, vp
 from .scanner import scan_candidates
 from .series import LaurentPoly
 
@@ -64,21 +60,12 @@ def search_rational_points(f, height: int) -> SearchResult:
     separately (one for odd degree, two for even degree with square
     leading coefficient, none otherwise).
     """
-    coeffs = [Fraction(str(c)) if isinstance(c, str) else Fraction(c) for c in f]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        raise ValueError("f must have degree >= 1")
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    if _poly_gcd_degree(coeffs, deriv) > 0:
-        raise ValueError("f must be squarefree")
+    coeffs = squarefree_coefficients(f, 1)
     if height < 1:
         raise ValueError("height must be >= 1")
 
     n = len(coeffs) - 1
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     # y^2 = f(x) and (den*y)^2 = (den^2 f)(x) have the same points, and the
     # scaled coefficients are integers.  Content is *not* divided out: that
     # would change the square class.
@@ -123,12 +110,8 @@ def _as_term_map(f) -> Dict[int, Fraction]:
             raise ValueError("oracle needs exact coefficients, got O(p^N) terms")
         return {n: c.lift() for n, c in f.definite_terms().items()}
     if isinstance(f, dict):
-        return {
-            int(n): Fraction(str(c)) if isinstance(c, str) else Fraction(c)
-            for n, c in f.items()
-        }
-    return {i: Fraction(str(c)) if isinstance(c, str) else Fraction(c)
-            for i, c in enumerate(f)}
+        return {int(n): Fraction(c) for n, c in f.items()}
+    return {i: Fraction(c) for i, c in enumerate(f)}
 
 
 def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
@@ -153,7 +136,7 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     coeffs = [Fraction(0)] * (max(terms) - shift + 1)
     for n, c in terms.items():
         coeffs[n - shift] = c
-    ints = _clear_denominators(coeffs)  # content-free; zero set unchanged
+    ints = clear_denominators(coeffs)  # content-free; zero set unchanged
     if len(ints) == 1:
         return 0
 
@@ -170,8 +153,8 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
         deg = len(poly) - 1
         cap = 4 * N + scale * deg + 4
         P = p**cap
-        deriv = _poly_derivative(poly)
-        base = min(_vp(c, p, cap) + i * scale for i, c in enumerate(poly) if c)
+        deriv = poly_derivative(poly)
+        base = min(vp(c, p, cap) + i * scale for i, c in enumerate(poly) if c)
         step = p**scale
         for u in range(1, p**N):
             if u % p == 0:
@@ -180,19 +163,19 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
             acc = 0
             for c in reversed(poly):
                 acc = (acc * x0 + c) % P
-            v0 = _vp(acc, p, cap)
+            v0 = vp(acc, p, cap)
             if v0 == 0:
                 continue
             d = 0
             for c in reversed(deriv):
                 d = (d * x0 + c) % P
-            vd = _vp(d, p, cap)
+            vd = vp(d, p, cap)
             if vd < cap and v0 > 2 * vd:
                 target = 2 * N + scale + 1
                 root = _newton_refine(poly, deriv, x0, vd, p, target)
                 # the certified root can sit deeper than the scan class that
                 # found it; count it only at its own valuation
-                if _vp(root, p, target) == scale:
+                if vp(root, p, target) == scale:
                     found.add((m, root))
             elif v0 >= min(vd + scale + N, base + 2 * N):
                 # a class holding a simple root reaches v0 = vd + m + N at
@@ -259,7 +242,7 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
             if (x - anchor) % q == 0:
                 hits += 1
         for idx, anchor, d_lo, d_hi in shells:
-            v = _vp(x - anchor, p, N)
+            v = vp(x - anchor, p, N)
             if d_lo < v < d_hi:
                 hits += 1
                 shell_classes[idx] += 1

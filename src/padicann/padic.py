@@ -25,6 +25,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +37,12 @@ from .errors import (
     PrecisionInsufficient,
     ZeroArgument,
 )
+from .intpoly import INF, vp  # also re-exported as padicann.padic.vp / .INF
 
 DEFAULT_PRECISION = 20
 
-INF = math.inf
 
-
+@functools.cache
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -53,20 +54,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def vp(x, p: int):
-    """p-adic valuation of an int or Fraction; infinity for 0."""
-    if x == 0:
-        return INF
-    if isinstance(x, Fraction):
-        return vp(x.numerator, p) - vp(x.denominator, p)
-    x = abs(int(x))
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -108,7 +95,7 @@ class PAdic:
         ``val=None`` (with ``unit=0``) builds a zero: exact when ``prec`` is
         None, an inexact ``O(p^prec)`` otherwise.
         """
-        if p < 2 or not _is_prime(p):
+        if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         self.p = p
         if val is None or unit == 0:
@@ -158,21 +145,22 @@ class PAdic:
 
     @classmethod
     def from_int(cls, n: int, p: int, prec: int = DEFAULT_PRECISION) -> "PAdic":
-        return cls.from_rational(Fraction(n), p, prec)
+        return cls.from_rational(n, p, prec)
 
     @classmethod
     def from_rational(cls, q, p: int, prec: int = DEFAULT_PRECISION) -> "PAdic":
         """Embed a rational exactly, truncated at absolute precision ``prec``."""
-        q = Fraction(q)
+        if not isinstance(q, int):
+            q = Fraction(q)
         if q == 0:
             return cls.zero(p)
-        val = vp(q.numerator, p) - vp(q.denominator, p)
+        val = vp(q, p)
         rel = prec - val
         if rel < 1:
             return cls.inexact_zero(p, prec)
         mod = p ** rel
-        num = q.numerator // p ** max(0, vp(q.numerator, p))
-        den = q.denominator // p ** max(0, vp(q.denominator, p))
+        num = q.numerator // p ** max(0, val)
+        den = q.denominator // p ** max(0, -val)
         unit = num * pow(den, -1, mod) % mod
         return cls(p, val, unit, prec)
 
@@ -506,28 +494,28 @@ def teichmuller_decompose(x: PAdic):
         if u0 % 4 == 1:
             return m, 1, PAdic(2, 0, u0, rel)
         return m, 3, PAdic(2, 0, -u0, rel)
-    zeta = u0 % mod
+    zeta = _teichmuller_unit(u0, p, rel)
+    u = u0 * pow(zeta, -1, mod) % mod
+    return m, zeta % p, PAdic(p, 0, u, rel)
+
+
+def _teichmuller_unit(u: int, p: int, rel: int) -> int:
+    """The root of unity mod p^rel congruent to u mod p: iterate u -> u^p."""
+    mod = p**rel
+    zeta = u % mod
     for _ in range(rel + 1):
         nxt = pow(zeta, p, mod)
         if nxt == zeta:
             break
         zeta = nxt
-    u = u0 * pow(zeta, -1, mod) % mod
-    return m, zeta % p, PAdic(p, 0, u, rel)
+    return zeta
 
 
 def teichmuller_lift(residue: int, p: int, rel_prec: int) -> PAdic:
     """The (p-1)-st root of unity congruent to ``residue`` mod p."""
     if residue % p == 0:
         raise ZeroArgument("no Teichmueller lift of residue 0")
-    mod = p ** rel_prec
-    zeta = residue % mod
-    for _ in range(rel_prec + 1):
-        nxt = pow(zeta, p, mod)
-        if nxt == zeta:
-            break
-        zeta = nxt
-    return PAdic(p, 0, zeta, rel_prec)
+    return PAdic(p, 0, _teichmuller_unit(residue, p, rel_prec), rel_prec)
 
 
 def log0(x: PAdic) -> PAdic:

@@ -75,8 +75,8 @@ def criterion_2() -> Tuple[bool, str]:
 def criterion_3() -> Tuple[bool, str]:
     """Newton-polygon counts match exhaustive enumeration on planted roots."""
     from .errors import CertificationFailed
+    from .intpoly import vp
     from .oracle import enumerate_padic_zeros
-    from .padic import vp
     from .series import LaurentPoly, count_zeros_valuation_range
 
     rng = random.Random(20250825)

@@ -1,0 +1,132 @@
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicann.curves import HyperellipticCurve
+from padicann.intpoly import (
+    clear_denominators,
+    poly_derivative,
+    poly_eval,
+    poly_gcd_degree,
+    squarefree_coefficients,
+    vp,
+)
+from padicann.padic import vp as padic_vp
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+def naive_vp(n: int, p: int, cap) -> int:
+    """Largest k <= cap with p^k | n, by trying every k."""
+    k = 0
+    while k < cap and n % p ** (k + 1) == 0:
+        k += 1
+    return k
+
+
+# ---------------------------------------------------------------------------
+# valuations
+# ---------------------------------------------------------------------------
+
+
+def test_vp_of_zero_is_the_cap():
+    assert vp(0, 3) == math.inf
+    assert vp(0, 3, 7) == 7
+    assert vp(Fraction(0), 5, 4) == 4
+
+
+def test_vp_truncates_at_the_cap():
+    assert vp(3**10, 3, 4) == 4
+    assert vp(3**10 * 2, 3, 10) == 10
+    assert vp(3**10 * 2, 3, 11) == 10
+
+
+def test_vp_negative_ints():
+    assert vp(-54, 3) == 3
+    assert vp(-7, 7, 5) == 1
+    assert vp(-1, 5) == 0
+
+
+def test_vp_fractions():
+    assert vp(Fraction(9, 4), 3) == 2
+    assert vp(Fraction(4, 9), 3) == -2
+    assert vp(Fraction(-5, 27), 3, 10) == -3
+    assert vp(Fraction(10, 7), 5) == 1
+    assert vp(Fraction(6, 1), 2) == 1
+
+
+def test_padic_reexports_vp():
+    assert padic_vp is vp
+
+
+@given(st.integers(min_value=-(10**12), max_value=10**12).filter(bool),
+       st.sampled_from((2, 3, 5, 7, 10007)),
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=200, deadline=None)
+def test_vp_matches_naive_reference(n, p, cap):
+    assert vp(n, p, cap) == naive_vp(n, p, cap)
+    assert vp(n, p) == naive_vp(n, p, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+
+@given(st.lists(fractions, min_size=1, max_size=8).filter(any))
+@settings(max_examples=150, deadline=None)
+def test_clear_denominators_content_one_same_sign(coeffs):
+    ints = clear_denominators(coeffs)
+    assert all(isinstance(c, int) for c in ints)
+    assert math.gcd(*ints) == 1
+    # proportional by a positive factor: same ratios and the same signs
+    i = next(k for k, c in enumerate(coeffs) if c != 0)
+    scale = Fraction(ints[i]) / coeffs[i]
+    assert scale > 0
+    assert ints == [scale * c for c in coeffs]
+
+
+def test_clear_denominators_examples():
+    assert clear_denominators([Fraction(1, 2), Fraction(-1, 3), 0, 1]) == [3, -2, 0, 6]
+    assert clear_denominators([-4, 6, -2]) == [-2, 3, -1]
+    assert clear_denominators([0, 0]) == [0, 0]
+
+
+def test_poly_gcd_degree_finds_repeated_factor():
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2 and its derivative share x - 1
+    f = [Fraction(c) for c in (2, -3, 0, 1)]
+    assert poly_gcd_degree(f, poly_derivative(f)) == 1
+    # (x^2 + 1)^2 (x - 3): the repeated factor is quadratic
+    g = [Fraction(c) for c in (-3, 1, -6, 2, -3, 1)]
+    assert poly_gcd_degree(g, poly_derivative(g)) == 2
+    sqfree = [Fraction(c) for c in (1, 0, 0, 0, 0, 0, 0, 1)]
+    assert poly_gcd_degree(sqfree, poly_derivative(sqfree)) == 0
+
+
+def test_poly_derivative():
+    assert poly_derivative([5, 3, 0, 2]) == [3, 0, 6]
+    assert poly_derivative([7]) == []
+
+
+@given(st.lists(fractions, min_size=4, max_size=8), fractions)
+@settings(max_examples=100, deadline=None)
+def test_poly_eval_matches_curve_evaluate(coeffs, x):
+    try:
+        curve = HyperellipticCurve(coeffs, 5)
+    except ValueError:
+        return  # degree below 3 or not squarefree
+    assert poly_eval(coeffs, x) == curve.evaluate(x)
+    assert curve.evaluate(x) == sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def test_squarefree_coefficients_parses_and_strips():
+    assert squarefree_coefficients(["1/2", 0, "3", 1, 0, 0], 3) == [
+        Fraction(1, 2), 0, 3, 1,
+    ]
+    with pytest.raises(ValueError):
+        squarefree_coefficients([2, -3, 0, 1], 3)  # (x - 1)^2 (x + 2)
+    with pytest.raises(ValueError):
+        squarefree_coefficients([1, 1, 0], 3)

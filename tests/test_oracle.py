@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from padicann import scanner
 from padicann.curves import HyperellipticCurve, decompose
-from padicann.errors import CertificationFailed, CoverageGap, DoubleCover
+from padicann.errors import CertificationFailed, CoverageGap, DoubleCover, NonSplitInput
 from padicann.oracle import (
     enumerate_padic_zeros,
     search_rational_points,
@@ -336,3 +336,47 @@ def test_cover_requires_disks():
     assert dec.disks is None
     with pytest.raises(ValueError):
         verify_decomposition_cover(c, dec, 4)
+
+
+@st.composite
+def split_curves(draw):
+    """(p, roots): 5 to 8 distinct integral branch points in [0, p^3)."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    deg = draw(st.integers(5, 8))
+    roots = draw(st.lists(st.integers(0, p**3 - 1), min_size=deg,
+                          max_size=deg, unique=True))
+    return p, roots
+
+
+@given(split_curves())
+@settings(max_examples=100, deadline=None)
+def test_random_split_curves_tile_z_p_once(case):
+    p, roots = case
+    curve = HyperellipticCurve(monic_from_roots(roots), p, 20)
+    dec = decompose(curve)
+    assert sorted(int(r.lift()) for r in dec.tree.roots) == sorted(roots)
+    if len({r % p for r in roots}) == 1:
+        # one residue disk holds every root: no disk regions at depth 0
+        assert dec.disks is None
+        assert "disks-skipped-nonintegral-or-deep-roots" in dec.flags
+        return
+    # roots differ mod p^3, so every region is resolved mod p^3
+    report = verify_decomposition_cover(curve, dec, 3)
+    assert report["ok"] and report["classes"] == p**3
+
+
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.lists(st.integers(-9, 9), min_size=5, max_size=8),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_random_curves_reject_only_as_non_split(p, lower, lead):
+    try:
+        curve = HyperellipticCurve(lower + [lead], p, 20)
+    except ValueError:
+        return  # not squarefree: refused before any root finding
+    try:
+        decompose(curve)
+    except Exception as exc:
+        assert isinstance(exc, NonSplitInput), repr(exc)
