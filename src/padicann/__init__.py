@@ -1,7 +1,7 @@
 """Exact p-adic machinery for counting points on curves via disks and annuli."""
 
-from .padic import DEFAULT_PRECISION, FieldParams, PAdic
+from .padic import DEFAULT_PRECISION, PAdic
 
 __version__ = "0.1.0"
 
-__all__ = ["PAdic", "FieldParams", "DEFAULT_PRECISION", "__version__"]
+__all__ = ["PAdic", "DEFAULT_PRECISION", "__version__"]

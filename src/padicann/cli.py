@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -368,6 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph", help="graph JSON file: {vertices, edges}")
 
     sp = add("search-points", _cmd_search_points, "exhaustive rational point search on y^2 = f(x)")
+    # read "-5,1,0,4" as the positional, not as an option: argparse takes
+    # arguments that match this pattern for negative numbers
+    sp._negative_number_matcher = re.compile(r"^-\.?\d[\d.,/-]*$")
     sp.add_argument("coeffs", help="comma-separated ascending coefficients of f")
     sp.add_argument("--height", type=int, required=True)
 

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     DegreeTooLarge,
-    GammaNotSquare,
     MissingAlpha,
     NonSplitInput,
     PrecisionInsufficient,
@@ -257,9 +256,6 @@ class ClusterTree:
 
         walk(self.root)
         return out
-
-    def node_count_without_leaves(self) -> int:
-        return len(self.proper_nodes())
 
 
 def _matrix_from_roots(roots: List[PAdic]):

@@ -57,10 +57,6 @@ class WindowViolation(PadicannError, ValueError):
 
 # --- curve decomposition ----------------------------------------------------
 
-class GammaNotSquare(PadicannError):
-    """The scaling constant of an even/Weierstrass annulus is not a square."""
-
-
 class NonSplitInput(PadicannError):
     """The polynomial does not split over Q_p and no valuation matrix was given."""
 

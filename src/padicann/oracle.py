@@ -1,14 +1,12 @@
 """Brute-force ground truths for cross-checking the analytic machinery.
 
 Rational points come from an exhaustive height scan, p-adic zero counts
-from residue enumeration plus Hensel certification, and coverage reports
-from literal membership tests on every residue class.  Nothing here calls
-the Newton-polygon counters or the cluster decomposition it checks, but
-two pieces are shared with them: the ``intpoly`` helpers (coefficient
-parsing, clearing denominators, valuations) and ``curves._newton_refine``,
-the Hensel step behind the decomposition's root finder, which also refines
-the roots counted here.  A bug in that step could fool both sides; an
-oracle with its own certification is open item 5 of ROADMAP.md.
+from a digit-by-digit descent over residue classes certified by Hensel's
+lemma, and coverage reports from literal membership tests on every residue
+class.  Nothing here calls the Newton-polygon counters, the cluster
+decomposition or its root finder that it checks: the only code shared with
+them is the ``intpoly`` helpers (coefficient parsing, clearing
+denominators, valuations).
 """
 
 from __future__ import annotations
@@ -18,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .curves import Decomposition, HyperellipticCurve, _newton_refine
+from .curves import Decomposition, HyperellipticCurve
 from .errors import CertificationFailed, CoverageGap, DoubleCover
-from .intpoly import clear_denominators, poly_derivative, squarefree_coefficients, vp
+from .intpoly import clear_denominators, squarefree_coefficients, vp
 from .scanner import scan_candidates
 from .series import LaurentPoly
 
@@ -117,15 +115,12 @@ def _as_term_map(f) -> Dict[int, Fraction]:
 def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     """Count zeros of f in Q_p with valuation strictly inside ``window``.
 
-    Scans every unit class u mod p^N at each integer valuation m in the
-    open window, evaluating f(p^m u); candidate classes are certified as
-    simple roots by the Hensel criterion v(f) > 2 v(f') and deduplicated
-    through Newton refinement.  A class that vanishes deeper than the
-    certification threshold without being certifiable raises
-    CertificationFailed rather than guessing.
-
-    Only zeros of integer valuation can exist in Q_p, so the scan over
-    integer m is exhaustive for the window.
+    Only zeros of integer valuation exist in Q_p, so the search runs over
+    each integer m in the open window and finds the zeros p^m u, u a unit,
+    digit by digit (see ``_count_at_valuation``).  N is the most digits of
+    u the descent reads: a class still open after N digits (a repeated
+    root, or roots closer than that) raises CertificationFailed rather
+    than guessing.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -140,52 +135,66 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     if len(ints) == 1:
         return 0
 
-    lo, hi = window
-    lo, hi = Fraction(lo), Fraction(hi)
-    found = set()
-    for m in range(math.floor(lo) + 1, math.ceil(hi)):
-        if not (lo < m < hi):
-            continue
-        if m >= 0:
-            poly, scale = ints, m
-        else:
-            poly, scale = ints[::-1], -m  # zeros x of f <-> zeros 1/x
-        deg = len(poly) - 1
-        cap = 4 * N + scale * deg + 4
-        P = p**cap
-        deriv = poly_derivative(poly)
-        base = min(vp(c, p, cap) + i * scale for i, c in enumerate(poly) if c)
-        step = p**scale
-        for u in range(1, p**N):
-            if u % p == 0:
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    return sum(_count_at_valuation(ints, p, m, N)
+               for m in range(math.floor(lo) + 1, math.ceil(hi)))
+
+
+def _count_at_valuation(ints, p: int, m: int, N: int) -> int:
+    """Zeros of valuation m of the integer polynomial ``ints``.
+
+    For m < 0 these are the inverses of the zeros of valuation -m of the
+    reversed polynomial, so take s = |m| >= 0 and that polynomial f.  The
+    descent visits the classes x + p^K Z_p, x = p^s u with u a unit mod p^k
+    and K = s + k, for k = 1 .. N, and reads the exact Taylor coefficients
+    f_i(x) = f^(i)(x) / i! (integers), with v0 = v(f(x)), vd = v(f'(x)):
+
+    * a root x + p^K t, t in Z_p, gives f(x) = -sum_{i>=1} f_i(x) p^(iK) t^i,
+      so a class with v0 < min_i (v(f_i(x)) + iK) holds no root: dropped;
+    * a kept class with vd < K has v0 >= K + vd > 2 vd, so Hensel's lemma
+      puts a root in it, and only one: f_i(x) p^(iK) has valuation >= 2K
+      > K + vd for i >= 2, so f is injective on the class.  It is counted;
+    * any other class splits into its p children.
+
+    A kept class is within p^-K of a root of f in C_p, and such disks are
+    disjoint, so at most deg f classes stay open at each depth.
+    """
+    f = ints if m >= 0 else ints[::-1]
+    s = abs(m)
+    classes = range(1, p)
+    count = 0
+    for k in range(1, N + 1):
+        K = s + k
+        still_open = []
+        for u in classes:
+            taylor = _taylor_coefficients(f, u * p**s)
+            v0 = vp(taylor[0], p)
+            if v0 < min(vp(c, p, v0) + i * K for i, c in enumerate(taylor) if i):
                 continue
-            x0 = u * step
-            acc = 0
-            for c in reversed(poly):
-                acc = (acc * x0 + c) % P
-            v0 = vp(acc, p, cap)
-            if v0 == 0:
-                continue
-            d = 0
-            for c in reversed(deriv):
-                d = (d * x0 + c) % P
-            vd = vp(d, p, cap)
-            if vd < cap and v0 > 2 * vd:
-                target = 2 * N + scale + 1
-                root = _newton_refine(poly, deriv, x0, vd, p, target)
-                # the certified root can sit deeper than the scan class that
-                # found it; count it only at its own valuation
-                if vp(root, p, target) == scale:
-                    found.add((m, root))
-            elif v0 >= min(vd + scale + N, base + 2 * N):
-                # a class holding a simple root reaches v0 = vd + m + N at
-                # this resolution; vanishing that deep without certifying
-                # means the scan cannot separate whatever is in there
-                raise CertificationFailed(
-                    f"f vanishes to order {v0} at valuation {m} but no "
-                    f"simple root certifies there; raise N"
-                )
-    return len(found)
+            if vp(taylor[1], p, K) < K:
+                count += 1
+            else:
+                still_open.append(u)
+        if not still_open:
+            return count
+        classes = [u + j * p**k for u in still_open for j in range(p)]
+    raise CertificationFailed(
+        f"{len(still_open)} classes of valuation {m} may still hold roots after "
+        f"{N} digits (a repeated root, or roots closer than that); raise N"
+    )
+
+
+def _taylor_coefficients(f, x: int) -> List[int]:
+    """f(x), f'(x), f''(x)/2, ...: repeated synthetic division by t - x."""
+    out = []
+    while f:
+        acc, quotient = 0, []
+        for c in reversed(f):
+            acc = acc * x + c
+            quotient.append(acc)
+        out.append(quotient.pop())
+        f = quotient[::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -54,34 +53,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Local-field bookkeeping: residue size q = p^f and ramification e.
-
-    Concrete arithmetic in this package happens in Q_p (e = f = 1); the
-    extension parameters only feed the closed-form bound calculators, which
-    require p > e + 1.
-    """
-
-    p: int
-    e: int = 1
-    q: int | None = None
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.e < 1:
-            raise ValueError("ramification index e must be >= 1")
-        if self.q is None:
-            object.__setattr__(self, "q", self.p)
-        else:
-            q = self.q
-            while q % self.p == 0 and q > 1:
-                q //= self.p
-            if q != 1 or self.q < self.p:
-                raise ValueError(f"q = {self.q} is not a power of p = {self.p}")
 
 
 class PAdic:
@@ -522,28 +493,31 @@ def log0(x: PAdic) -> PAdic:
     """The logarithm branch with Log(p) = 0.
 
     Strips p-powers and the Teichmueller part (both killed by this branch)
-    and sums log(u) = sum (-1)^(n+1) (u-1)^n / n for the 1-unit part.  In
-    particular every root of unity, and every power of p, maps to zero.
+    and sums log(u) = sum (-1)^(n+1) (u-1)^n / n for the 1-unit part, on
+    integer residues mod p^rel.  In particular every root of unity, and
+    every power of p, maps to zero.
     """
     if x.is_zero():
         raise ZeroArgument("Log0 is undefined at zero")
     p = x.p
     _, _, u = teichmuller_decompose(x)
-    one = PAdic.from_int(1, p, int(u.prec))
-    z = u - one
-    if z.is_zero():
+    rel = int(u.prec)
+    mod = p**rel
+    z = (u.unit_residue() - 1) % mod
+    if z == 0:
         # u = 1 to working precision; the log is zero to (at least) that precision
-        return PAdic.inexact_zero(p, int(z.prec))
-    total = PAdic.zero(p)
+        return PAdic.inexact_zero(p, rel)
+    c = vp(z, p)
+    total = 0
     zn = z
     n = 1
-    c = int(z.valuation)
     while True:
-        term = zn / PAdic.from_rational(n, p, int(zn.prec) + 4)
-        total = total + (term if n % 2 == 1 else -term)
+        k = vp(n, p)
+        term = zn // p**k * pow(n // p**k, -1, mod)
+        total += term if n % 2 == 1 else -term
         n += 1
-        zn = zn * z
+        zn *= z
         # terms have valuation >= n*c - v_p(n); stop once provably below precision
-        if n * c - (math.floor(math.log(n, p)) + 1) > total.prec:
+        if n * c - (math.floor(math.log(n, p)) + 1) > rel:
             break
-    return total
+    return PAdic(p, 0, total, rel)

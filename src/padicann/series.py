@@ -49,9 +49,9 @@ class LaurentPoly:
     # -- classmethods ------------------------------------------------------
 
     @classmethod
-    def from_coeff_list(cls, p, coeffs, prec=DEFAULT_PRECISION, shift=0):
-        """Polynomial with ascending coefficients, optionally shifted by z^shift."""
-        return cls(p, {i + shift: c for i, c in enumerate(coeffs)}, prec)
+    def from_coeff_list(cls, p, coeffs, prec=DEFAULT_PRECISION):
+        """Polynomial with ascending coefficients."""
+        return cls(p, dict(enumerate(coeffs)), prec)
 
     # -- inspection --------------------------------------------------------
 
@@ -120,10 +120,6 @@ class LaurentPoly:
         for n, c in sorted(self.terms.items()):
             total = total + c * x**n
         return total
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by z^k."""
-        return LaurentPoly(self.p, {n + k: c for n, c in self.terms.items()}, self.prec)
 
     def __repr__(self):
         if not self.terms:

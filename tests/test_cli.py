@@ -222,6 +222,17 @@ def test_search_points_degree_16(capsys):
     assert rep["count"] == 4  # (0, +-1) and two points at infinity
 
 
+@pytest.mark.parametrize("argv", [
+    ("-5,1,0,4", "--height", "20"),
+    ("--height", "20", "-5,1,0,4"),
+    ("--height", "20", "--", "-5,1,0,4"),
+])
+def test_search_points_negative_leading_coefficient_list(capsys, argv):
+    # y^2 = 4x^3 + x - 5 has the point (1, 0)
+    rep = run_json(capsys, "search-points", *argv)
+    assert ["1", "0"] in rep["affine"]
+
+
 def test_verify_cover(capsys, octic_file):
     rep = run_json(capsys, "verify-cover", octic_file, "--precision", "4")
     assert rep["ok"] is True

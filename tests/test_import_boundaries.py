@@ -15,9 +15,6 @@ PACKAGE = Path(padicann.__file__).parent
 
 # (importing module, imported module, name)
 ALLOWED = {
-    # the oracle refines its certified roots with the Hensel step of the
-    # decomposition's root finder; an independent one is ROADMAP.md item 5
-    ("oracle", "curves", "_newton_refine"),
     # the bound formulas enforce the same p > e + 1 regime as delta()
     ("bounds", "series", "_check_regime"),
 }
@@ -32,20 +29,27 @@ def _source_module(node: ast.ImportFrom):
     return None
 
 
-def private_imports():
+def package_imports():
+    """Every (importing module, imported module, name) inside padicann."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and _source_module(node):
-                found |= {(path.stem, _source_module(node), a.name)
-                          for a in node.names if a.name.startswith("_")}
+                found |= {(path.stem, _source_module(node), a.name) for a in node.names}
     return found
 
 
 def test_no_private_cross_module_imports():
-    found = private_imports()
+    found = {imp for imp in package_imports() if imp[2].startswith("_")}
     assert found - ALLOWED == set(), "private names imported across modules"
     assert ALLOWED - found == set(), "allowlist entries with no matching import"
+
+
+def test_oracle_takes_only_the_audited_types_from_curves():
+    # the oracle checks the decomposition and must not borrow its machinery
+    taken = {name for src, mod, name in package_imports()
+             if (src, mod) == ("oracle", "curves")}
+    assert taken == {"Decomposition", "HyperellipticCurve"}
 
 
 def test_source_module_of_relative_and_absolute_imports():

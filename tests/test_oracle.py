@@ -256,14 +256,58 @@ def test_enumerate_agrees_with_newton_counts():
         assert got == want == newton
 
 
-def _ival(n, p):
-    n = int(n)
-    if n == 0:
+def test_enumerate_counts_two_roots_in_one_scan_class():
+    # 7 and -2 agree mod 9 and their difference has valuation 2, so the
+    # class 7 + 9 Z_3 holds both; a third digit separates them
+    with pytest.raises(CertificationFailed):
+        enumerate_padic_zeros([-14, -5, 1], 3, (-1, 3), 2)
+    assert enumerate_padic_zeros([-14, -5, 1], 3, (-1, 3), 3) == 2
+
+
+@st.composite
+def planted_roots(draw):
+    """p, distinct rational roots of valuation -2..2, some in close pairs.
+
+    A pair is r and r + t p^(m+2) with t a unit: both of valuation m = v(r),
+    agreeing to p^(m+2).
+    """
+    p = draw(st.sampled_from((3, 5)))
+    units = st.integers(-4 * p, 4 * p).filter(lambda u: u % p)
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(-2, 2))
+        r = draw(units) * Fraction(p) ** m
+        roots.append(r)
+        if draw(st.booleans()):
+            roots.append(r + draw(units) * Fraction(p) ** (m + 2))
+    return p, list(dict.fromkeys(roots))
+
+
+@given(planted_roots(), st.integers(-3, 2), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_enumerate_planted_close_roots(case, lo, width):
+    p, roots = case
+    window = (lo, lo + width)
+    want = sum(1 for r in roots if window[0] < _ival(r, p) < window[1])
+    assert enumerate_padic_zeros(monic_from_roots(roots), p, window, N=20) == want
+
+    r = roots[0]
+    v = _ival(r, p)
+    with pytest.raises(CertificationFailed):
+        enumerate_padic_zeros(monic_from_roots(roots + [r]), p, (v - 1, v + 1), N=20)
+
+
+def _ival(r, p):
+    r = Fraction(r)
+    if r == 0:
         return 10**9
-    v = 0
-    while n % p == 0:
-        n //= p
+    v, num, den = 0, r.numerator, r.denominator
+    while num % p == 0:
+        num //= p
         v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
     return v
 
 

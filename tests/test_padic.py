@@ -5,6 +5,7 @@ computations (exhaustive residue searches and Fraction partial sums), not by
 the code under test.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from padicann.errors import (
     ZeroArgument,
 )
 from padicann.padic import (
+    DEFAULT_PRECISION,
     PAdic,
     is_square,
     log0,
@@ -76,6 +78,36 @@ def test_rational_below_precision_collapses():
     # 81 at absolute precision 3 carries no known digit
     x = PAdic.from_rational(81, 3, 3)
     assert x.is_zero() and x.prec == 3
+
+
+@pytest.mark.parametrize("obj, val, unit, prec", [
+    # a unit divisible by p moves its p-power into the valuation
+    ({"val": "0", "unit": "9", "prec": "5"}, 2, 1, 5),
+    ({"val": "-1", "unit": "18", "prec": "4"}, 1, 2, 4),
+    # a unit at or above p^(prec - val) is reduced, a negative one too
+    ({"val": "1", "unit": str(3**4 + 2), "prec": "5"}, 1, 2, 5),
+    ({"val": "0", "unit": "-1", "prec": "3"}, 0, 26, 3),
+])
+def test_from_json_normalises_the_unit(obj, val, unit, prec):
+    x = PAdic.from_json(obj, 3)
+    assert (x.valuation, x.unit_residue(), x.prec) == (val, unit, prec)
+
+
+@pytest.mark.parametrize("obj", [
+    {"val": "1", "unit": str(3**4), "prec": "5"},  # unit = 0 mod p^(prec - val)
+    {"val": "0", "unit": str(2 * 3**5), "prec": "5"},
+    {"val": "5", "unit": "2", "prec": "5"},  # prec <= val: no known digit
+    {"val": "7", "unit": "2", "prec": "5"},
+])
+def test_from_json_without_known_digits_is_inexact_zero(obj):
+    x = PAdic.from_json(obj, 3)
+    assert x.is_zero() and not x.is_exact_zero()
+    assert x.prec == 5
+
+
+def test_missing_prec_defaults_to_relative_precision():
+    x = PAdic(3, 2, 5, None)
+    assert (x.valuation, x.unit_residue(), x.prec) == (2, 5, 2 + DEFAULT_PRECISION)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +344,41 @@ def test_log0_scaling_by_p_is_invisible():
     p = 3
     x = PAdic.from_int(10, p, 14)
     assert (log0(x * PAdic.from_int(p, p, 14)) - log0(x)).is_zero()
+
+
+def _log0_reference(x):
+    """Log0 as the series sum over PAdic arithmetic, term by term."""
+    p = x.p
+    _, _, u = teichmuller_decompose(x)
+    z = u - PAdic.from_int(1, p, int(u.prec))
+    if z.is_zero():
+        return PAdic.inexact_zero(p, int(z.prec))
+    total = PAdic.zero(p)
+    zn = z
+    n = 1
+    c = int(z.valuation)
+    while True:
+        term = zn / PAdic.from_rational(n, p, int(zn.prec) + 4)
+        total = total + (term if n % 2 == 1 else -term)
+        n += 1
+        zn = zn * z
+        if n * c - (math.floor(math.log(n, p)) + 1) > total.prec:
+            break
+    return total
+
+
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11, 10007)),
+    val=st.integers(-5, 5),
+    unit=st.integers(1, 10**40),
+    rel=st.integers(1, 30),
+)
+@settings(max_examples=300, deadline=None)
+def test_log0_matches_padic_series(p, val, unit, rel):
+    if unit % p == 0:
+        unit += 1
+    x = PAdic(p, val, unit, val + rel)
+    assert log0(x) == _log0_reference(x)  # same val, unit and prec
 
 
 # ---------------------------------------------------------------------------
