@@ -8,11 +8,13 @@ rational-point specialization are exact identities and are asserted as such.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
 from .errors import RankOutOfRange, RankTooLarge, UnsupportedRegime
+from .intpoly import is_prime, vp
 from .series import _check_regime, delta
 
 
@@ -63,6 +65,14 @@ def n_local_majorants(p: int, e: int, q: int, g: int, r: int):
     return m1, m2
 
 
+def _check_field(p: int, q: int) -> None:
+    """p is prime and q, the residue field size, is a power of p."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if q < p or p ** vp(q, p) != q:
+        raise ValueError("q must be a power of p, at least p")
+
+
 def _check_local_inputs(p: int, e: int, q: int, g: int, r: int) -> None:
     if p % 2 == 0:
         raise UnsupportedRegime("p must be odd")
@@ -73,8 +83,7 @@ def _check_local_inputs(p: int, e: int, q: int, g: int, r: int) -> None:
         raise ValueError("need r >= 0")
     if r > g - 3:
         raise RankTooLarge(f"need r <= g - 3, got r = {r}, g = {g}")
-    if q < p:
-        raise ValueError("q must be a power of p, at least p")
+    _check_field(p, q)
 
 
 def N_local(p: int, e: int, q: int, g: int, r: int) -> int:
@@ -212,16 +221,6 @@ def min_unlikely_n(dim_B: int, g: int, r: int) -> int:
     return n
 
 
-def _smallest_prime_above(n: int) -> int:
-    candidate = n + 1
-    while True:
-        if candidate >= 2 and all(
-            candidate % k for k in range(2, int(candidate**0.5) + 1)
-        ):
-            return candidate
-        candidate += 1
-
-
 def asymptotic_R(d: int, g: int, r: int) -> int:
     """Order-of-magnitude envelope g(p^d + d(r+1)), p smallest prime > d+1.
 
@@ -229,7 +228,7 @@ def asymptotic_R(d: int, g: int, r: int) -> int:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    p = _smallest_prime_above(d + 1)
+    p = next(n for n in itertools.count(d + 2) if is_prime(n))
     return g * (p**d + d * (r + 1))
 
 
@@ -289,6 +288,7 @@ def bound_report(
     if g < 2:
         raise ValueError("need g >= 2")
     _check_regime(p, e)
+    _check_field(p, q)
     per_t = []
     for t in range(g + 1):
         row = {

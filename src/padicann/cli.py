@@ -396,7 +396,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PadicannError, ValueError, KeyError, TypeError,
+    except (PadicannError, ValueError, ArithmeticError, KeyError, TypeError,
             OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(_dump({
             "schema": SCHEMA,

@@ -59,67 +59,62 @@ def _newton_refine(coeffs, deriv, a: int, vd: int, p: int, target: int) -> int:
     return x % p**target
 
 
-def _taylor_values(coeffs: Sequence[int], b: int) -> List[int]:
-    """Values f^{(i)}(b)/i! for i = 0..deg (integer Taylor coefficients at b)."""
-    out = []
-    n = len(coeffs)
-    for i in range(n):
-        acc = 0
-        power = 1
-        for j in range(i, n):
-            acc += coeffs[j] * math.comb(j, i) * power
-            power *= b
-        out.append(acc)
-    return out
+def _taylor_shift(coeffs: Sequence[int], a: int) -> List[int]:
+    """f(a), f'(a), f''(a)/2, ...: repeated synthetic division by x - a."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
 
-def _zp_roots(coeffs: Sequence[int], p: int, prec: int) -> List[int]:
+def _zp_roots(coeffs: Sequence[int], p: int, prec: int,
+              start: Optional[List[int]] = None) -> List[int]:
     """Certified simple roots in Z_p, as residues mod p^prec.
 
-    Branches of residues are refined digit by digit; a branch is certified as
-    holding exactly one root once v(f(a)) > 2 v(f'(a)) and the branch depth
-    exceeds v(f'(a)).  A branch can contain a root only if the constant term
-    of the Taylor expansion at its base does not strictly dominate the other
-    terms; branches failing that are pruned.  Branches still alive but
-    uncertified at depth `prec` cannot be separated at this precision.
+    Descends digit by digit through the classes a + p^k Z_p below the
+    residues ``start`` mod p (default: all).  On a class f(a + p^k t) =
+    sum_i f_i p^(ik) t^i with f_i = f^(i)(a)/i!, so a root forces
+    f_0 = -sum_{i>=1} f_i p^(ik) t^i.  Each class is read cheapest first:
+
+    1. v(f(a)) < k: every other term has valuation >= k; no root, drop.
+    2. d = v(f'(a)) < k: the i = 1 term, of valuation k + d, is below every
+       i >= 2 term (>= 2k).  Drop if v(f(a)) < k + d; else v(f(a)) > 2d and
+       Hensel's lemma puts exactly one root in the class (f is injective
+       there), which ``_newton_refine`` lifts.
+    3. d >= k: build every f_i by synthetic division; drop if
+       v(f_0) < min_{i>=1} (v(f_i) + ik), else split into the p children.
+
+    A kept class lies within p^-k of a root in C_p, so at most deg f stay
+    open per depth; one still kept at depth prec + 1 cannot be separated.
     """
     deriv = poly_derivative(coeffs)
-    cap = prec
-    vcap = 2 * prec + 8
-
-    def may_contain_root(b: int, k: int) -> bool:
-        taylor = _taylor_values(coeffs, b)
-        v0 = vp(taylor[0], p, vcap)
-        if v0 < k:
-            return False
-        best = min(
-            (vp(t, p, vcap) + i * k for i, t in enumerate(taylor) if i > 0),
-            default=vcap,
-        )
-        return v0 >= min(best, vcap)
-
     roots: List[int] = []
-    frontier = [a for a in range(p) if may_contain_root(a, 1)]
-    for k in range(1, cap + 1):
-        if not frontier:
-            break
-        survivors = []
+    frontier = list(range(p)) if start is None else start
+    for k in range(1, prec + 2):
+        kept = []
         for a in frontier:
-            va = vp(poly_eval(coeffs, a), p, vcap)
-            vd = vp(poly_eval(deriv, a), p, vcap)
-            if va > 2 * vd and k > vd and va >= k + vd:
-                roots.append(_newton_refine(coeffs, deriv, a, vd, p, prec))
+            v0 = vp(poly_eval(coeffs, a), p)
+            if v0 < k:
                 continue
-            step = p**k
-            for s in range(p):
-                b = a + s * step
-                if may_contain_root(b, k + 1):
-                    survivors.append(b)
-        frontier = survivors
-    if frontier:
-        raise PrecisionInsufficient(
-            f"{len(frontier)} root branch(es) cannot be separated at precision {prec}"
-        )
+            d = vp(poly_eval(deriv, a), p)
+            if d < k:
+                if v0 >= k + d:
+                    kept.append((a, d))
+            elif v0 >= min(vp(c, p) + i * k
+                           for i, c in enumerate(_taylor_shift(coeffs, a)) if i):
+                kept.append((a, d))
+        if k > prec and kept:
+            raise PrecisionInsufficient(
+                f"{len(kept)} root branch(es) cannot be separated at precision {prec}"
+            )
+        step = p**k
+        frontier = []
+        for a, d in kept:
+            if d < k:
+                roots.append(_newton_refine(coeffs, deriv, a, d, p, prec))
+            else:
+                frontier.extend(range(a, a + p * step, step))
     if len(set(roots)) != len(roots):
         raise PrecisionInsufficient("duplicate certified roots; raise precision")
     return sorted(roots)
@@ -144,8 +139,8 @@ def _qp_roots(coeffs: Sequence[Fraction], p: int, prec: int) -> List[PAdic]:
             roots.append(PAdic.from_int(a, p, prec))
     rev = ints[::-1]                   # zeros 1/x of f: nonzero leading term
     one = PAdic.from_int(1, p, prec + 4)
-    for b in _zp_roots(rev, p, prec):
-        if b % p == 0 and b % p**prec != 0:
+    for b in _zp_roots(rev, p, prec, start=[0]):   # only v(x) < 0: p | b
+        if b % p**prec != 0:
             roots.append(one / PAdic.from_int(b, p, prec))
     if len(roots) != deg:
         raise NonSplitInput(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .bounds import B_A
 from .errors import (
     BoundViolated,
     MissingAbelianConstant,
@@ -20,7 +21,7 @@ from .errors import (
     WindowViolation,
 )
 from .padic import PAdic, log0
-from .series import LaurentData, LaurentPoly, count_zeros_valuation_range, delta, formal_integrate
+from .series import LaurentData, LaurentPoly, count_zeros_valuation_range, formal_integrate
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,6 @@ def abelian_integral_annulus(I: AnnulusIntegrand, xi0: PAdic, xi1: PAdic) -> PAd
     return plain + I.a * int(jump)
 
 
-def annulus_zero_bound(p: int, e: int, r: int) -> int:
-    """B_A(p, e, r) = 2r + e * floor(2r / (p - e - 1))."""
-    return 2 * r + delta(p, e, 2 * r)
-
-
 def lambda_zero_count_annulus(V, p: int, e: int, r: int):
     """Zero bound and best actual zero count for antiderivatives over V.
 
@@ -108,7 +104,7 @@ def lambda_zero_count_annulus(V, p: int, e: int, r: int):
     """
     if r <= 0:
         raise WindowViolation("window precondition n1 < -1 < n2 is empty for r <= 0")
-    bound = annulus_zero_bound(p, e, r)
+    bound = B_A(p, e, r)
     best = None
     for data in V:
         sup = data.u.support()

@@ -6,6 +6,7 @@ computes p-adic valuations, for the curves, the oracles and ``padic``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import List, Sequence
@@ -17,8 +18,11 @@ def vp(x, p: int, cap=INF):
     """p-adic valuation of an int or Fraction, truncated at ``cap``.
 
     ``vp(0, p)`` is ``cap``, so infinity by default.  At most one of a
-    Fraction's numerator and denominator is divisible by p.
+    Fraction's numerator and denominator is divisible by p.  Raises
+    ValueError for p < 2, where no valuation exists.
     """
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     if not isinstance(x, int):
         den = x.denominator
         if den % p == 0:
@@ -31,6 +35,21 @@ def vp(x, p: int, cap=INF):
         x //= p
         v += 1
     return v
+
+
+@functools.cache
+def is_prime(n: int) -> bool:
+    """Trial division, cached: ``PAdic`` checks its p on every result."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def poly_eval(coeffs: Sequence, x):

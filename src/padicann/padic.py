@@ -25,7 +25,6 @@ Example::
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -36,23 +35,9 @@ from .errors import (
     PrecisionInsufficient,
     ZeroArgument,
 )
-from .intpoly import INF, vp  # also re-exported as padicann.padic.vp / .INF
+from .intpoly import INF, is_prime, vp  # also re-exported as padicann.padic.vp / .INF
 
 DEFAULT_PRECISION = 20
-
-
-@functools.cache
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 class PAdic:
@@ -66,7 +51,7 @@ class PAdic:
         ``val=None`` (with ``unit=0``) builds a zero: exact when ``prec`` is
         None, an inexact ``O(p^prec)`` otherwise.
         """
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         self.p = p
         if val is None or unit == 0:

@@ -44,6 +44,8 @@ def test_B_A_examples():
     assert B_A(3, 1, 2) == 8
     assert B_A(5, 1, 1) == 2
     assert B_A(3, 1, 4) == 16
+    assert B_A(5, 1, 3) == 8
+    assert B_A(7, 2, 4) == 12
     with pytest.raises(UnsupportedRegime):
         B_A(3, 2, 1)
     with pytest.raises(ValueError):
@@ -74,6 +76,13 @@ def test_N_local_examples():
         N_local(3, 2, 3, 3, 0)
     with pytest.raises(RankTooLarge):
         N_local(3, 1, 3, 3, 1)
+
+
+@pytest.mark.parametrize("p, q", [(9, 9), (15, 15), (3, 5), (3, 6), (5, 15), (3, 1)])
+def test_non_prime_p_or_q_off_the_powers_of_p_is_refused(p, q):
+    for compute in (N_local, n_local_by_maximization, bound_report):
+        with pytest.raises(ValueError, match="prime|power of p"):
+            compute(p, 1, q, 3, 0)
 
 
 def test_N_local_matches_explicit_maximization():

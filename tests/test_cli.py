@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padicann
 import padicann.selftest
 from padicann.cli import main
 from padicann.graphs import good_reduction_graph
@@ -88,6 +93,30 @@ def test_computation_error_is_structured_json(capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"]["type"] == "UnsupportedRegime"
+
+
+def _zeros_job(p):
+    return {"p": p, "terms": {"0": "-3", "1": "1"}, "window": ["0", "2"]}
+
+
+@pytest.mark.parametrize("argv, job", [
+    (("count-zeros",), _zeros_job(1)),          # vp would loop forever
+    (("count-zeros",), _zeros_job(0)),          # vp would divide by zero
+    (("search-points", "1/0,1,1,1", "--height", "5"), None),
+    (("bounds", "--p", "9", "--e", "1", "--q", "9", "--g", "3", "--r", "0"), None),
+    (("bounds", "--p", "3", "--e", "1", "--q", "5", "--g", "3", "--r", "0"), None),
+], ids=["p=1", "p=0", "zero-denominator", "p-not-prime", "q-not-power-of-p"])
+def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = argv + (str(path),)
+    env = dict(os.environ, PYTHONPATH=str(Path(padicann.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "padicann.cli", *argv],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] in {"ValueError", "ZeroDivisionError"}
 
 
 def test_missing_file_is_an_error(capsys):

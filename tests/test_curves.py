@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicann.curves import (
     EVEN,
@@ -22,6 +24,8 @@ from padicann.errors import (
     PrecisionInsufficient,
     UnsupportedRegime,
 )
+from padicann.intpoly import vp
+from padicann.oracle import enumerate_padic_zeros
 from padicann.padic import PAdic
 
 
@@ -35,6 +39,14 @@ def poly_from_roots(roots, lc=1):
             new[i] -= r * a
         poly = new
     return [a * Fraction(lc) for a in poly]
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def curve_from_roots(roots, p, lc=1, precision=20):
@@ -108,6 +120,71 @@ def test_indistinguishable_roots_need_more_precision():
         curve_from_roots(roots, 3, precision=20).roots()
     got = curve_from_roots(roots, 3, precision=30).roots()
     assert sorted(int(r.lift()) for r in got) == roots
+
+
+def test_depth_cap_is_the_first_digit_that_separates_a_close_pair():
+    # 1 and 1 + 3^5 share every class down to depth 5 and part at depth 6;
+    # both classes of depth 6 keep a root, so precision 5 cannot certify them
+    roots = [0, 1, 1 + 3**5]
+    with pytest.raises(PrecisionInsufficient,
+                       match=r"^2 root branch\(es\) cannot be separated at precision 5$"):
+        curve_from_roots(roots, 3, precision=5).roots()
+    got = curve_from_roots(roots, 3, precision=6).roots()
+    assert sorted(int(r.lift()) for r in got) == roots
+
+
+@st.composite
+def planted_roots(draw):
+    """Distinct roots of a split curve: close pairs, p | r, v(r) = -1, -2."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    units = st.integers(1, p**3).filter(lambda u: u % p)
+    roots = set()
+    for r in draw(st.lists(st.integers(-p**3, p**3), min_size=5, max_size=7,
+                           unique=True)):
+        kind = draw(st.sampled_from(("int", "pair", "multiple", "pole")))
+        if kind == "pair":
+            roots.add(Fraction(r + draw(units) * p ** draw(st.integers(1, 8))))
+        elif kind == "multiple":
+            r *= p
+        elif kind == "pole":
+            r = draw(units) / Fraction(p) ** draw(st.integers(1, 2))
+        roots.add(Fraction(r))
+    assume(len(roots) >= 5)
+    return p, sorted(roots)
+
+
+@given(planted_roots(), st.sampled_from((1, -2, 3)))
+@settings(max_examples=100, deadline=None)
+def test_roots_returns_every_planted_root(case, lc):
+    p, planted = case
+    got = curve_from_roots(planted, p, lc).roots()
+    assert len(got) == len(planted)
+    for r in planted:
+        assert sum(1 for x in got if x.agrees(r)) == 1, (r, got)
+
+
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.lists(st.integers(-27, 27).filter(bool), max_size=6, unique=True),
+    st.lists(st.integers(-27, 27).filter(bool), min_size=1, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_non_split_iff_the_oracle_finds_fewer_roots(p, roots, cofactor):
+    # planted integer roots times a random cofactor: a quadratic cofactor
+    # splits over Q_p about half the time, a longer one seldom
+    f = [int(c) for c in poly_mul(poly_from_roots(roots), cofactor)]
+    assume(len(f) >= 4)
+    try:
+        curve = HyperellipticCurve(f, p, 20)
+    except ValueError:
+        assume(False)  # not squarefree
+    try:
+        split = len(curve.roots()) == curve.degree
+    except NonSplitInput:
+        split = False
+    # root valuations are Newton polygon slopes, at most max v(c_i) in size
+    w = max(vp(c, p) for c in f if c) + 1
+    assert split == (enumerate_padic_zeros(f, p, (-w, w), N=30) == curve.degree)
 
 
 def test_valuation_matrix_mode():

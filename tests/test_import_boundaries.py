@@ -61,3 +61,15 @@ def test_source_module_of_relative_and_absolute_imports():
     )
     sources = [_source_module(n) for n in tree.body]
     assert sources == ["curves", "series", "padicann", None]
+
+
+def test_root_finder_does_not_borrow_the_oracle_descent():
+    # the oracle checks decompose, so the two Hensel descents stay separate copies
+    tree = ast.parse((PACKAGE / "curves.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _source_module(node):
+            imported |= {_source_module(node)} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+    assert "oracle" not in imported

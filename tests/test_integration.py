@@ -12,7 +12,6 @@ from padicann.errors import (
 from padicann.integration import (
     AnnulusIntegrand,
     abelian_integral_annulus,
-    annulus_zero_bound,
     integrate_annulus,
     integrate_disk,
     lambda_zero_count_annulus,
@@ -115,12 +114,6 @@ class TestAbelian:
 
 
 class TestLambdaZeroCount:
-    def test_bound_values(self):
-        assert annulus_zero_bound(3, 1, 2) == 8
-        assert annulus_zero_bound(5, 1, 3) == 8
-        assert annulus_zero_bound(7, 2, 4) == 12
-        assert annulus_zero_bound(3, 1, 0) == 0
-
     def test_example(self):
         V = [LaurentData(L(3, {-2: 1, 1: 1}), (0, 1))]
         assert lambda_zero_count_annulus(V, 3, 1, 2) == (8, 0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from padicann.curves import HyperellipticCurve
 from padicann.intpoly import (
     clear_denominators,
+    is_prime,
     poly_derivative,
     poly_eval,
     poly_gcd_degree,
@@ -56,6 +57,19 @@ def test_vp_fractions():
     assert vp(Fraction(-5, 27), 3, 10) == -3
     assert vp(Fraction(10, 7), 5) == 1
     assert vp(Fraction(6, 1), 2) == 1
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_vp_refuses_p_below_two(p):
+    with pytest.raises(ValueError, match="at least 2"):
+        vp(12, p)
+
+
+def test_is_prime_matches_trial_division():
+    naive = [n for n in range(-5, 500)
+             if n >= 2 and all(n % d for d in range(2, n))]
+    assert [n for n in range(-5, 500) if is_prime(n)] == naive
+    assert is_prime(10007) and not is_prime(10007 * 10009)
 
 
 def test_padic_reexports_vp():
