@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicann.bounds import B_A
 from padicann.errors import (
     MissingAbelianConstant,
     OutsideDomain,
@@ -114,6 +115,14 @@ class TestAbelian:
 
 
 class TestLambdaZeroCount:
+    def test_bound_values(self):
+        # lambda_zero_count_annulus counts with bounds.B_A, which refuses r = 0.
+        assert B_A(3, 1, 2) == 8
+        assert B_A(5, 1, 3) == 8
+        assert B_A(7, 2, 4) == 12
+        with pytest.raises(ValueError):
+            B_A(3, 1, 0)
+
     def test_example(self):
         V = [LaurentData(L(3, {-2: 1, 1: 1}), (0, 1))]
         assert lambda_zero_count_annulus(V, 3, 1, 2) == (8, 0)
