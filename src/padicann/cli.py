@@ -313,7 +313,8 @@ def _cmd_selftest(args) -> int:
         payload = {
             "schema": SCHEMA,
             "criteria": [
-                {"id": r.id, "name": r.name, "ok": r.ok, "detail": r.detail}
+                {"id": r.id, "name": r.name, "ok": r.ok, "detail": r.detail,
+                 "budget": r.budget}
                 for r in results
             ],
             "ok": not failed,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 from .curves import Decomposition, HyperellipticCurve
@@ -115,12 +116,13 @@ def _as_term_map(f) -> Dict[int, Fraction]:
 def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     """Count zeros of f in Q_p with valuation strictly inside ``window``.
 
-    Only zeros of integer valuation exist in Q_p, so the search runs over
-    each integer m in the open window and finds the zeros p^m u, u a unit,
-    digit by digit (see ``_count_at_valuation``).  N is the most digits of
-    u the descent reads: a class still open after N digits (a repeated
-    root, or roots closer than that) raises CertificationFailed rather
-    than guessing.
+    Zeros in Q_p have integer valuations, and only valuations where two
+    terms of f tie can hold one (``_tied_valuations``).  So the search
+    runs over those integers m in the open window, however wide it is, and
+    finds the zeros p^m u, u a unit, digit by digit (see
+    ``_count_at_valuation``).  N is the most digits of u the descent reads:
+    a class still open after N digits (a repeated root, or roots closer
+    than that) raises CertificationFailed rather than guessing.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -137,7 +139,21 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
 
     lo, hi = Fraction(window[0]), Fraction(window[1])
     return sum(_count_at_valuation(ints, p, m, N)
-               for m in range(math.floor(lo) + 1, math.ceil(hi)))
+               for m in _tied_valuations(ints, p) if lo < m < hi)
+
+
+def _tied_valuations(ints, p: int) -> List[int]:
+    """The integer valuations m, ascending, that can carry a zero of ``ints``.
+
+    At a zero of valuation m the terms c_i x^i cannot have one strictly
+    smallest valuation v(c_i) + i m (ultrametric inequality), so two of
+    them tie: m = (v(c_i) - v(c_j)) / (j - i).  That is at most
+    n (n + 1) / 2 values, however wide the window.
+    """
+    terms = [(i, vp(c, p)) for i, c in enumerate(ints) if c]
+    return sorted({(vi - vj) // (j - i)
+                   for (i, vi), (j, vj) in combinations(terms, 2)
+                   if (vi - vj) % (j - i) == 0})
 
 
 def _count_at_valuation(ints, p: int, m: int, N: int) -> int:

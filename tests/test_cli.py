@@ -119,6 +119,20 @@ def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
     assert error["type"] in {"ValueError", "ZeroDivisionError"}
 
 
+def test_verify_zeros_wide_window_returns_quickly(tmp_path):
+    # the oracle visits only the valuations where two terms tie, not
+    # every integer of the window
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(_zeros_job(3), window=["-1000000", "3"])))
+    env = dict(os.environ, PYTHONPATH=str(Path(padicann.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "padicann.cli", "verify-zeros",
+                           str(path)],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["oracle_count"] == rep["newton_count"] == 1
+
+
 def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, "decompose", "/nonexistent/curve.json")
     assert code == 1
@@ -304,6 +318,7 @@ def test_selftest_matrix_output(capsys, monkeypatch, tmp_path):
     assert "all criteria passed" in text
     payload = json.loads(out.read_text())
     assert payload["ok"] is True and len(payload["criteria"]) == 2
+    assert [c["budget"] for c in payload["criteria"]] == [1.0, 1.0]
 
 
 def test_selftest_failure_exit_code(capsys, monkeypatch):

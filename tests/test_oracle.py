@@ -3,13 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicann import scanner
 from padicann.curves import HyperellipticCurve, decompose
 from padicann.errors import CertificationFailed, CoverageGap, DoubleCover, NonSplitInput
+from padicann.intpoly import clear_denominators
 from padicann.oracle import (
+    _count_at_valuation,
     enumerate_padic_zeros,
     search_rational_points,
     verify_decomposition_cover,
@@ -85,6 +87,25 @@ def test_kernel_parity_across_blocks(monkeypatch):
     monkeypatch.setattr(scanner, "_BLOCK_CELLS", 200)
     coeffs = [3, -2, 0, 1, 0, 5]
     assert scan_candidates(coeffs, 40) == _exact_filter(coeffs, 40)
+
+
+# h >= 48 reaches b = 47, the row b = 0 mod p of every scan prime
+NEW_PRIME_ROW_INPUTS = [
+    [3, -2, 0, 1, 0, 17 * 19 * 5],  # leading coefficient divisible by 17*19
+    [-6, 11, -6, 1],  # roots 1, 2, 3: a root mod every prime
+    [2**64 + 5, 0, 0, 1],  # a coefficient above 2^63
+]
+
+
+@pytest.mark.parametrize("coeffs", NEW_PRIME_ROW_INPUTS)
+def test_kernel_parity_on_every_prime_row(coeffs):
+    assert scan_candidates(coeffs, 48) == _exact_filter(coeffs, 48)
+
+
+def test_kernel_parity_on_every_prime_row_across_blocks(monkeypatch):
+    monkeypatch.setattr(scanner, "_BLOCK_CELLS", 200)
+    coeffs = NEW_PRIME_ROW_INPUTS[0]
+    assert scan_candidates(coeffs, 50) == _exact_filter(coeffs, 50)
 
 
 def test_kernel_order_is_b_major_a_ascending():
@@ -262,6 +283,35 @@ def test_enumerate_counts_two_roots_in_one_scan_class():
     with pytest.raises(CertificationFailed):
         enumerate_padic_zeros([-14, -5, 1], 3, (-1, 3), 2)
     assert enumerate_padic_zeros([-14, -5, 1], 3, (-1, 3), 3) == 2
+
+
+@st.composite
+def valuation_spread(draw):
+    """(p, coefficients c_i = u_i p^(e_i)) with c_0, c_n != 0: ties anywhere."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    terms = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 8)),
+                          min_size=2, max_size=6))
+    coeffs = [u * p**e for u, e in terms]
+    assume(coeffs[0] and coeffs[-1])
+    return p, coeffs
+
+
+@given(valuation_spread(), st.integers(-10, 4), st.integers(1, 12),
+       st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_enumerate_visits_every_valuation_that_can_hold_a_zero(case, lo, width, N):
+    # the tied valuations give the same count, or the same refusal, as a
+    # descent at every integer of the window
+    p, coeffs = case
+    ints = clear_denominators(coeffs)
+    window = (lo, lo + width)
+    try:
+        want = sum(_count_at_valuation(ints, p, m, N) for m in range(lo + 1, lo + width))
+    except CertificationFailed:
+        with pytest.raises(CertificationFailed):
+            enumerate_padic_zeros(coeffs, p, window, N)
+    else:
+        assert enumerate_padic_zeros(coeffs, p, window, N) == want
 
 
 @st.composite
