@@ -4,6 +4,8 @@ Each calculator returns exact integers (or Fractions where a bound is
 genuinely rational).  No floating point is used anywhere: the cross-checks
 between the assembled local bound, its explicit t-maximization, and the
 rational-point specialization are exact identities and are asserted as such.
+The p > e + 1 regime and its correction delta(p, e, n) live here alone: the
+disk bound 1 + n + delta and the annulus bound B_A both read them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,56 @@ from typing import Dict, List, Optional, Union
 
 from .errors import RankOutOfRange, RankTooLarge, UnsupportedRegime
 from .intpoly import is_prime, vp
-from .series import _check_regime, delta
+
+
+# -- the p > e + 1 regime and its corrections ----------------------------------
+
+
+def _check_regime(p: int, e: int):
+    if e < 1 or p <= e + 1:
+        raise UnsupportedRegime(f"need p > e + 1, got p = {p}, e = {e}")
+
+
+def delta(p: int, e: int, n: int) -> int:
+    """Hensel-loss correction e * floor(n / (p - e - 1)) for p > e + 1."""
+    _check_regime(p, e)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return e * (n // (p - e - 1))
+
+
+def delta2_bound(n: int) -> Fraction:
+    """Upper bound 1 + n/2 for the p = 2 correction."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return 1 + Fraction(n, 2)
+
+
+def Delta(s: int, r: int, p: int, e: int) -> int:
+    """max of sum_j delta(p, e, m_j) over s nonnegative parts with sum <= r.
+
+    Computed by dynamic programming over parts; superadditivity of the floor
+    makes the closed form e * floor(r / (p - e - 1)), which the test suite
+    cross-checks.
+    """
+    _check_regime(p, e)
+    if s < 1 or r < 0:
+        raise ValueError("need s >= 1 and r >= 0")
+    prev = [delta(p, e, b) for b in range(r + 1)]
+    for _ in range(2, s + 1):
+        cur = []
+        for b in range(r + 1):
+            cur.append(max(prev[b - m] + delta(p, e, m) for m in range(b + 1)))
+        prev = cur
+    return prev[r]
+
+
+def zero_bound_disk(n: int, p: int, e: int) -> int:
+    """Zero bound 1 + n + delta(p, e, n) on a closed disk for v(coeffs) tails."""
+    return 1 + n + delta(p, e, n)
+
+
+# -- disk and annulus counts ---------------------------------------------------
 
 
 def disk_count_bound(q: int, g: int, t: int) -> int:

@@ -326,7 +326,6 @@ class AnnulusDescriptor:
     genus: int
     depths: Tuple[Fraction, Fraction]  # (parent depth, child depth) on the x-line
     domain: Tuple[Fraction, Fraction]  # valuation interval of the parameter t
-    window: Tuple[int, int]
     gamma: Optional[PAdic] = None
     alpha: Optional[PAdic] = None
     a_const: Optional[PAdic] = None
@@ -334,6 +333,16 @@ class AnnulusDescriptor:
     split: Optional[bool] = None
     count: Optional[int] = None        # curve-side annulus components (orbit view)
     flags: List[str] = field(default_factory=list)
+
+    @property
+    def window(self) -> Tuple[int, int]:
+        """Exponent window of the pullbacks on the shrunk core annulus, by kind."""
+        g, nu = self.genus, self.nu
+        if self.kind == ODD:
+            return (-2 * nu, 2 * g - 2 - 2 * nu)
+        if self.kind == EVEN:
+            return (-nu, g - 1 - nu)
+        return (-g, g - 2)
 
     def to_json(self):
         def ser(v):
@@ -398,18 +407,6 @@ class Decomposition:
             "iota_orbit_count": self.iota_orbit_count,
             "flags": self.flags,
         }
-
-
-def _rational_square_in_qp(x: Fraction, p: int) -> bool:
-    """Is the nonzero rational x a square in Q_p?  (p odd.)"""
-    if p == 2:
-        raise UnsupportedRegime("square classes mod 2 need the odd-prime model")
-    v = vp(x, p)
-    if v % 2 != 0:
-        return False
-    u = x / Fraction(p) ** v
-    r = u.numerator * pow(u.denominator, -1, p) % p
-    return pow(r, (p - 1) // 2, p) == 1
 
 
 def _gamma_for(curve, tree, child: ClusterNode, center: PAdic) -> PAdic:
@@ -481,20 +478,17 @@ def _classify_edge(curve, tree, parent: ClusterNode,
 
     if kind == ODD:
         domain = ((d_par - v_gamma) / 2, (d_ch - v_gamma) / 2)
-        window = (-2 * nu, 2 * g - 2 - 2 * nu)
         count = 1
     elif kind == EVEN:
         domain = (d_par, d_ch)
-        window = (-nu, g - 1 - nu)
         count = None if split is None else (2 if split else 0)
     else:
         domain = (d_par, 2 * d_ch - d_par)
-        window = (-g, g - 2)
         count = None if split is None else (1 if split else 0)
 
     return AnnulusDescriptor(
         kind=kind, theta0=child.indices, nu=nu, genus=g,
-        depths=(d_par, d_ch), domain=domain, window=window,
+        depths=(d_par, d_ch), domain=domain,
         gamma=gamma, alpha=alpha, a_const=a_const, center=center,
         split=split, count=count, flags=flags,
     )
@@ -502,10 +496,10 @@ def _classify_edge(curve, tree, parent: ClusterNode,
 
 def _free_disk_count(curve, x_lift: int) -> int:
     """Curve components over a branch-point-free residue disk: 2 or 0."""
-    value = curve.evaluate(x_lift)
+    value, p = curve.evaluate(x_lift), curve.p
     if value == 0:
         raise ValueError("free disk contains a branch point")
-    return 2 if _rational_square_in_qp(value, curve.p) else 0
+    return 2 if is_square(PAdic.from_rational(value, p, vp(value, p) + 1)) else 0
 
 
 def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
@@ -515,7 +509,8 @@ def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
     if curve.has_infinite_branch_point:
         regions.append(DiskRegion("infinity", None, None, 1, True))
     else:
-        lc_square = _rational_square_in_qp(curve.leading_coefficient, p)
+        lc = curve.leading_coefficient
+        lc_square = is_square(PAdic.from_rational(lc, p, vp(lc, p) + 1))
         regions.append(
             DiskRegion("infinity", None, None, 2 if lc_square else 0, lc_square)
         )
@@ -682,9 +677,10 @@ def pullback_differential(A: AnnulusDescriptor, u_tilde) -> "LaurentData":
     return LaurentData(LaurentPoly(p, terms), A.domain)
 
 
-def good_window_subspace(A: AnnulusDescriptor, g: int, m: int):
+def good_window_subspace(A: AnnulusDescriptor, m: int):
     """Exponent window (n1, n2) of width max{2(g-m), 2} and the u~ monomials
-    whose pullbacks are supported inside it.  Requires 1 <= m <= g."""
+    whose pullbacks are supported inside it, g = A.genus.  Requires 1 <= m <= g."""
+    g = A.genus
     if not 1 <= m <= g:
         raise ValueError("need 1 <= m <= g")
     nu = A.nu
@@ -702,12 +698,3 @@ def good_window_subspace(A: AnnulusDescriptor, g: int, m: int):
         n1 = 2 * (j_lo - nu)
         return n1, n1 + 2 * span, basis
     return -(span + 1), span - 1, basis
-
-
-def core_annulus_window(A: AnnulusDescriptor, g: int) -> Tuple[int, int]:
-    """Exponent window of the shrunk core annulus, by kind."""
-    if A.kind == ODD:
-        return (-2 * A.nu, 2 * g - 2 - 2 * A.nu)
-    if A.kind == EVEN:
-        return (-A.nu, g - 1 - A.nu)
-    return (-g, g - 2)

@@ -39,24 +39,6 @@ class AnnulusIntegrand:
     def p(self):
         return self.ell.p
 
-    def to_json(self):
-        return {
-            "ell": self.ell.to_json(),
-            "c": self.c.to_json(),
-            "a": None if self.a is None else self.a.to_json(),
-            "domain": [str(self.domain[0]), str(self.domain[1])],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        ell = LaurentPoly.from_json(obj["ell"])
-        c = PAdic.from_json(obj["c"], ell.p)
-        a = obj.get("a")
-        if a is not None:
-            a = PAdic.from_json(a, ell.p)
-        lo, hi = obj["domain"]
-        return cls(ell, c, a, (Fraction(str(lo)), Fraction(str(hi))))
-
 
 def _require_inside(x: PAdic, lo, hi, what="point"):
     v = x.valuation

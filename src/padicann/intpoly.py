@@ -37,18 +37,40 @@ def vp(x, p: int, cap=INF):
     return v
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, 2015); the bases up to 37 are not, since
+# 318665857834031151167461 is a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 @functools.cache
 def is_prime(n: int) -> bool:
-    """Trial division, cached: ``PAdic`` checks its p on every result."""
+    """Deterministic Miller-Rabin, cached: ``PAdic`` checks its p on every result.
+
+    Raises ValueError for n at or above ``_MR_EXACT_BELOW``, where the fixed
+    bases no longer prove primality.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"n = {n} is too large for the primality test")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -217,19 +217,10 @@ class PAdic:
             return x.at_precision(int(min(n, x.prec)))
         n = min(a._prec, b._prec)
         base = min(a._val, b._val)
-        # each prec exceeds its own val, so n - base >= 1 and the sum is integral
-        mod = self.p ** (n - base)
-        s = (
-            a._unit * self.p ** (a._val - base)
-            + b._unit * self.p ** (b._val - base)
-        ) % mod
-        if s == 0:
-            return PAdic.inexact_zero(self.p, n)
-        v = 0
-        while s % self.p == 0:
-            s //= self.p
-            v += 1
-        return PAdic(self.p, base + v, s, n)
+        # each prec exceeds its own val, so n - base >= 1 and the sum is
+        # integral; __init__ reduces it mod p^(n - base) and strips p from it
+        s = a._unit * self.p ** (a._val - base) + b._unit * self.p ** (b._val - base)
+        return PAdic(self.p, base, s, n)
 
     __radd__ = __add__
 

@@ -11,7 +11,6 @@ test module, so there is exactly one definition of "passing".
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -110,7 +109,7 @@ def criterion_3() -> Tuple[bool, str]:
 
 def criterion_4() -> Tuple[bool, str]:
     """The two-variable correction term collapses to e*floor(r/(p-e-1))."""
-    from .series import Delta
+    from .bounds import Delta
 
     checked = 0
     for p in (3, 5, 7):
@@ -221,23 +220,23 @@ def criterion_7() -> Tuple[bool, str]:
         ODD,
         WEIERSTRASS,
         AnnulusDescriptor,
-        core_annulus_window,
         good_window_subspace,
         pullback_differential,
     )
     from .padic import PAdic
 
+    def window_for(kind, nu, g):
+        if kind == ODD:
+            return (-2 * nu, 2 * g - 2 - 2 * nu)
+        if kind == EVEN:
+            return (-nu, g - 1 - nu)
+        return (-g, g - 2)
+
     def descriptor(kind, nu, g):
         mk = lambda v: PAdic.from_rational(Fraction(v), 3, 20)
-        if kind == ODD:
-            window = (-2 * nu, 2 * g - 2 - 2 * nu)
-        elif kind == EVEN:
-            window = (-nu, g - 1 - nu)
-        else:
-            window = (-g, g - 2)
         return AnnulusDescriptor(
             kind=kind, theta0=tuple(range(2 * nu + 1)), nu=nu, genus=g,
-            depths=(0, 1), domain=(0, 1), window=window,
+            depths=(0, 1), domain=(0, 1),
             gamma=mk(4), alpha=mk(1),
             a_const=mk(3) if kind == WEIERSTRASS else None,
             center=PAdic.zero(3), split=True,
@@ -250,16 +249,16 @@ def criterion_7() -> Tuple[bool, str]:
                 if kind == WEIERSTRASS and nu != 1:
                     continue
                 A = descriptor(kind, nu, g)
-                lo, hi = A.window
+                lo, hi = window_for(kind, nu, g)
+                if A.window != (lo, hi):
+                    return False, f"core window mismatch for {kind}, g={g}, nu={nu}"
                 for j in range(g):
                     data = pullback_differential(A, [0] * j + [1])
                     if not all(lo <= e <= hi for e in data.u.definite_terms()):
                         return False, f"{kind} g={g} nu={nu} j={j} leaves its window"
                     supports += 1
-                if core_annulus_window(A, g) != (lo, hi):
-                    return False, f"core window mismatch for {kind}, g={g}, nu={nu}"
                 for m in range(1, g + 1):
-                    n1, n2, basis = good_window_subspace(A, g, m)
+                    n1, n2, basis = good_window_subspace(A, m)
                     if not (n1 < -1 < n2 and n2 - n1 == max(2 * (g - m), 2)):
                         return False, f"good window shape broken at {kind}, g={g}, m={m}"
                     if m < g:

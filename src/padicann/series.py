@@ -1,4 +1,4 @@
-"""Laurent polynomials over Q_p, Newton polygons, and zero-count bounds.
+"""Laurent polynomials over Q_p, Newton-polygon zero counts, antiderivatives.
 
 The zero-counting convention is the one for annuli: a lower-hull segment of
 slope -s and horizontal length L certifies exactly L zeros of valuation s in
@@ -19,7 +19,6 @@ from .errors import (
     AllCoefficientsIndistinguishableFromZero,
     OutsideDomain,
     ProvisionalPolygon,
-    UnsupportedRegime,
 )
 from .padic import DEFAULT_PRECISION, PAdic
 
@@ -267,55 +266,6 @@ def count_zeros_valuation_range(
         if (lo < s < hi) or (include_lo and s == lo) or (include_hi and s == hi):
             total += length
     return total
-
-
-# ---------------------------------------------------------------------------
-# correction terms delta, Delta and the disk zero bound
-# ---------------------------------------------------------------------------
-
-
-def _check_regime(p: int, e: int):
-    if e < 1 or p <= e + 1:
-        raise UnsupportedRegime(f"need p > e + 1, got p = {p}, e = {e}")
-
-
-def delta(p: int, e: int, n: int) -> int:
-    """Hensel-loss correction e * floor(n / (p - e - 1)) for p > e + 1."""
-    _check_regime(p, e)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return e * (n // (p - e - 1))
-
-
-def delta2_bound(n: int) -> Fraction:
-    """Upper bound 1 + n/2 for the p = 2 correction."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return 1 + Fraction(n, 2)
-
-
-def Delta(s: int, r: int, p: int, e: int) -> int:
-    """max of sum_j delta(p, e, m_j) over s nonnegative parts with sum <= r.
-
-    Computed by dynamic programming over parts; superadditivity of the floor
-    makes the closed form e * floor(r / (p - e - 1)), which the test suite
-    cross-checks.
-    """
-    _check_regime(p, e)
-    if s < 1 or r < 0:
-        raise ValueError("need s >= 1 and r >= 0")
-    prev = [delta(p, e, b) for b in range(r + 1)]
-    for _ in range(2, s + 1):
-        cur = []
-        for b in range(r + 1):
-            cur.append(max(prev[b - m] + delta(p, e, m) for m in range(b + 1)))
-        prev = cur
-    return prev[r]
-
-
-def zero_bound_disk(n: int, p: int, e: int) -> int:
-    """Zero bound 1 + n + delta(p, e, n) on a closed disk for v(coeffs) tails."""
-    return 1 + n + delta(p, e, n)
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,12 @@ def _zeros_job(p):
 @pytest.mark.parametrize("argv, job", [
     (("count-zeros",), _zeros_job(1)),          # vp would loop forever
     (("count-zeros",), _zeros_job(0)),          # vp would divide by zero
+    (("count-zeros",), _zeros_job(1000000007 * 1000000009)),
     (("search-points", "1/0,1,1,1", "--height", "5"), None),
     (("bounds", "--p", "9", "--e", "1", "--q", "9", "--g", "3", "--r", "0"), None),
     (("bounds", "--p", "3", "--e", "1", "--q", "5", "--g", "3", "--r", "0"), None),
-], ids=["p=1", "p=0", "zero-denominator", "p-not-prime", "q-not-power-of-p"])
+], ids=["p=1", "p=0", "p-semiprime", "zero-denominator", "p-not-prime",
+        "q-not-power-of-p"])
 def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
     if job is not None:
         path = tmp_path / "job.json"
@@ -117,6 +119,18 @@ def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
     assert proc.returncode == 1, proc.stderr
     error = json.loads(proc.stderr)["error"]
     assert error["type"] in {"ValueError", "ZeroDivisionError"}
+
+
+def test_large_prime_answers_quickly(tmp_path):
+    # the primality check on p must not scale with sqrt(p)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_zeros_job(10**18 + 3)))
+    env = dict(os.environ, PYTHONPATH=str(Path(padicann.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "padicann.cli", "count-zeros",
+                           str(path)],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 0
 
 
 def test_verify_zeros_wide_window_returns_quickly(tmp_path):

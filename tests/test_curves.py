@@ -12,7 +12,6 @@ from padicann.curves import (
     AnnulusDescriptor,
     HyperellipticCurve,
     build_cluster_tree,
-    core_annulus_window,
     decompose,
     good_window_subspace,
     pullback_differential,
@@ -381,10 +380,9 @@ def test_curve_json_roundtrip():
 
 def _descriptor(kind, nu, g, p=3, gamma=1, alpha=1, a_const=None):
     mk = lambda v: None if v is None else PAdic.from_rational(Fraction(v), p, 20)
-    window = core_annulus_window_for(kind, nu, g)
     return AnnulusDescriptor(
         kind=kind, theta0=tuple(range(2 * nu + 1)), nu=nu, genus=g,
-        depths=(0, 1), domain=(0, 1), window=window,
+        depths=(0, 1), domain=(0, 1),
         gamma=mk(gamma), alpha=mk(alpha), a_const=mk(a_const),
         center=PAdic.zero(p), split=True,
     )
@@ -465,12 +463,12 @@ def test_pullback_supports_stay_in_case_ranges():
 
 def test_good_window_frozen_examples():
     W = _descriptor(WEIERSTRASS, 1, 4, a_const=3)
-    assert good_window_subspace(W, 4, 1) == (-4, 2, [0, 1, 2, 3])
+    assert good_window_subspace(W, 1) == (-4, 2, [0, 1, 2, 3])
     A = _descriptor(ODD, 1, 5)
-    assert good_window_subspace(A, 5, 2) == (-2, 4, [0, 1, 2, 3])
+    assert good_window_subspace(A, 2) == (-2, 4, [0, 1, 2, 3])
     B = _descriptor(ODD, 4, 5)
-    assert good_window_subspace(B, 5, 2) == (-6, 0, [1, 2, 3, 4])
-    assert good_window_subspace(A, 5, 5)[:2] == (-2, 0)
+    assert good_window_subspace(B, 2) == (-6, 0, [1, 2, 3, 4])
+    assert good_window_subspace(A, 5)[:2] == (-2, 0)
 
 
 def test_good_window_shape_and_pullback_containment():
@@ -481,7 +479,7 @@ def test_good_window_shape_and_pullback_containment():
                     continue
                 A = _descriptor(kind, nu, g, a_const=3 if kind == WEIERSTRASS else None)
                 for m in range(1, g + 1):
-                    n1, n2, basis = good_window_subspace(A, g, m)
+                    n1, n2, basis = good_window_subspace(A, m)
                     assert n1 < -1 < n2
                     assert n2 - n1 == max(2 * (g - m), 2)
                     assert len(basis) == g - m + 1
@@ -492,11 +490,19 @@ def test_good_window_shape_and_pullback_containment():
 
 
 def test_core_annulus_windows():
-    assert core_annulus_window(_descriptor(ODD, 1, 3), 3) == (-2, 2)
-    assert core_annulus_window(_descriptor(EVEN, 2, 3), 3) == (-2, 0)
-    assert core_annulus_window(_descriptor(WEIERSTRASS, 1, 3, a_const=3), 3) == (-3, 1)
+    assert _descriptor(ODD, 1, 3).window == (-2, 2)
+    assert _descriptor(EVEN, 2, 3).window == (-2, 0)
+    assert _descriptor(WEIERSTRASS, 1, 3, a_const=3).window == (-3, 1)
     for g in range(2, 9):
         for nu in range(1, g):
             for kind in (ODD, EVEN, WEIERSTRASS):
-                lo, hi = core_annulus_window(_descriptor(kind, nu, g, a_const=3), g)
+                lo, hi = _descriptor(kind, nu, g, a_const=3).window
+                assert (lo, hi) == core_annulus_window_for(kind, nu, g)
                 assert hi - lo <= 2 * g - 2
+
+
+def test_good_window_needs_m_in_range():
+    A = _descriptor(ODD, 1, 3)
+    for m in (0, 4):
+        with pytest.raises(ValueError):
+            good_window_subspace(A, m)

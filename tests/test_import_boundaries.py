@@ -14,10 +14,7 @@ import padicann
 PACKAGE = Path(padicann.__file__).parent
 
 # (importing module, imported module, name)
-ALLOWED = {
-    # the bound formulas enforce the same p > e + 1 regime as delta()
-    ("bounds", "series", "_check_regime"),
-}
+ALLOWED = set()
 
 
 def _source_module(node: ast.ImportFrom):
@@ -50,6 +47,11 @@ def test_oracle_takes_only_the_audited_types_from_curves():
     taken = {name for src, mod, name in package_imports()
              if (src, mod) == ("oracle", "curves")}
     assert taken == {"Decomposition", "HyperellipticCurve"}
+
+
+def test_bounds_owns_the_regime_and_its_corrections():
+    # delta, Delta and the p > e + 1 check live in bounds, not in series
+    assert not any((src, mod) == ("bounds", "series") for src, mod, _ in package_imports())
 
 
 def test_source_module_of_relative_and_absolute_imports():

@@ -74,14 +74,6 @@ class TestAnnulus:
         with pytest.raises(OutsideDomain):
             integrate_annulus(I, pt(1), pt(3))
 
-    def test_json_roundtrip(self):
-        I = AnnulusIntegrand(L(3, {-1: 2, 1: 1}), pt(5), a=pt(7), domain=(0, 2))
-        J = AnnulusIntegrand.from_json(I.to_json())
-        assert J.domain == (Fraction(0), Fraction(2))
-        assert (J.c - I.c).is_zero()
-        assert (J.a - I.a).is_zero()
-        assert (J.ell - I.ell).is_zero()
-
 
 class TestAbelian:
     def setup_method(self):

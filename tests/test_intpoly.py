@@ -66,10 +66,30 @@ def test_vp_refuses_p_below_two(p):
 
 
 def test_is_prime_matches_trial_division():
-    naive = [n for n in range(-5, 500)
-             if n >= 2 and all(n % d for d in range(2, n))]
-    assert [n for n in range(-5, 500) if is_prime(n)] == naive
+    limit = 2 * 10**5
+    naive = [n for n in range(-5, limit)
+             if n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(-5, limit) if is_prime(n)] == naive
     assert is_prime(10007) and not is_prime(10007 * 10009)
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),                  # strong pseudoprime to the bases 2, 3, 5, 7
+    (3825123056546413051, False),         # ... to the bases 2 through 23
+    (318665857834031151167461, False),    # ... to the bases 2 through 37
+    (1000000007 * 1000000009, False),
+    (10**14 + 31, True),
+    (10**18 + 3, True),
+    (2**61 - 1, True),
+])
+def test_is_prime_beyond_trial_division(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_n_beyond_its_exact_range():
+    assert not is_prime(3317044064679887385961981 - 2)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(3317044064679887385961981)
 
 
 def test_padic_reexports_vp():

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicann.errors import (
@@ -187,6 +187,22 @@ def test_valuation_inequalities(x, y):
         assert m.valuation == a.valuation + b.valuation
 
 
+@given(x=rationals.filter(bool), y=rationals.filter(bool),
+       p=st.sampled_from((2, 3, 5, 7, 10007)),
+       rx=st.integers(min_value=1, max_value=8),
+       ry=st.integers(min_value=1, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_sum_is_normalised_like_the_embedded_rational(x, y, p, rx, ry):
+    # the sum's (val, unit, prec) is the canonical form of x + y mod p^n
+    nx, ny = vp(x, p) + rx, vp(y, p) + ry
+    s = PAdic.from_rational(x, p, nx) + PAdic.from_rational(y, p, ny)
+    n = min(nx, ny)
+    want = PAdic.from_rational(x + y, p, n) if x + y else PAdic.inexact_zero(p, n)
+    assert (s.valuation, s.prec) == (want.valuation, want.prec)
+    if not s.is_zero():
+        assert s.unit_residue() == want.unit_residue()
+
+
 # ---------------------------------------------------------------------------
 # sqrt
 # ---------------------------------------------------------------------------
@@ -232,6 +248,32 @@ def test_is_square_mod8_at_p2():
     assert is_square(PAdic.from_int(17, 2, 6))
     assert not is_square(PAdic.from_int(3, 2, 6))
     assert not is_square(PAdic.from_int(2, 2, 6))
+
+
+ODD_PRIMES = [n for n in range(3, 10008, 2)
+              if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+
+
+def _square_by_euler(x, p):
+    """Reference: x in Q_p^2 iff v(x) is even and the unit is a QR mod p."""
+    v = vp(x, p)
+    if v % 2 != 0:
+        return False
+    u = x / Fraction(p) ** v
+    r = u.numerator * pow(u.denominator, -1, p) % p
+    return pow(r, (p - 1) // 2, p) == 1
+
+
+@given(p=st.sampled_from(ODD_PRIMES),
+       num=st.integers(min_value=-(10**9), max_value=10**9).filter(bool),
+       den=st.integers(min_value=1, max_value=10**9),
+       v=st.integers(min_value=-5, max_value=5))
+@settings(max_examples=400, deadline=None)
+def test_is_square_of_one_digit_matches_euler(p, num, den, v):
+    assume(num % p and den % p)
+    x = Fraction(num, den) * Fraction(p) ** v
+    assert vp(x, p) == v
+    assert is_square(PAdic.from_rational(x, p, vp(x, p) + 1)) == _square_by_euler(x, p)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

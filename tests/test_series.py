@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicann.bounds import Delta, delta, delta2_bound, zero_bound_disk
 from padicann.errors import (
     AllCoefficientsIndistinguishableFromZero,
     OutsideDomain,
@@ -12,15 +13,11 @@ from padicann.errors import (
 )
 from padicann.padic import PAdic
 from padicann.series import (
-    Delta,
     LaurentData,
     LaurentPoly,
     count_zeros_valuation_range,
-    delta,
-    delta2_bound,
     formal_integrate,
     newton_polygon,
-    zero_bound_disk,
 )
 
 
