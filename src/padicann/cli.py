@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PadicannError
+from .intpoly import as_int
 from .padic import DEFAULT_PRECISION, PAdic
 
 SCHEMA = "padicann/1"
@@ -140,7 +141,7 @@ def _cmd_pullback(args) -> int:
     job = _read_job(args.job)
     curve = _curve_from_obj(job["curve"], args.precision)
     dec = decompose(curve, _matrix_from_obj(job))
-    idx = int(job["annulus_index"])
+    idx = as_int(job["annulus_index"], "annulus_index")
     if not 0 <= idx < len(dec.annuli):
         raise ValueError(f"annulus_index {idx} out of range "
                          f"(decomposition has {len(dec.annuli)} annuli)")
@@ -281,7 +282,7 @@ def _cmd_verify_zeros(args) -> int:
     L = LaurentPoly.from_json(job)
     lo, hi = (_rational(v) for v in job["window"])
     newton = count_zeros_valuation_range(L, lo, hi)
-    oracle = enumerate_padic_zeros(L, L.p, (lo, hi), int(job.get("N", 6)))
+    oracle = enumerate_padic_zeros(L, L.p, (lo, hi), as_int(job.get("N", 6), "N"))
     _emit(
         {
             "window": [str(lo), str(hi)],

@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .intpoly import (
+    as_int,
     clear_denominators,
     poly_derivative,
     poly_eval,
@@ -190,8 +191,8 @@ class HyperellipticCurve:
     def from_json(cls, obj):
         return cls(
             [Fraction(str(c)) for c in obj["f"]],
-            int(obj["p"]),
-            int(obj.get("precision", DEFAULT_PRECISION)),
+            as_int(obj["p"], "p"),
+            as_int(obj.get("precision", DEFAULT_PRECISION), "precision"),
         )
 
     def __repr__(self):
@@ -557,12 +558,19 @@ def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
     return regions
 
 
+_MAX_DECOMPOSE_P = 1 << 16
+
+
 def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition:
     """Split P^1(Q_p) along the cluster tree into annuli and residue disks."""
     if curve.genus < 2:
         raise ValueError("decomposition needs genus >= 2")
     if curve.p == 2:
         raise UnsupportedRegime("decomposition is implemented for odd p")
+    if curve.p >= _MAX_DECOMPOSE_P:
+        raise UnsupportedRegime(
+            f"p = {curve.p} is too large: the decomposition has one disk per "
+            f"free residue class, so p must be below {_MAX_DECOMPOSE_P}")
     tree = build_cluster_tree(curve, valuation_matrix)
     flags = []
 

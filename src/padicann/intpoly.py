@@ -1,7 +1,8 @@
 """Integer and rational polynomials (ascending coefficient lists).
 
-The one place that parses curve coefficients, clears denominators and
-computes p-adic valuations, for the curves, the oracles and ``padic``.
+The one place that parses curve coefficients and integer inputs, clears
+denominators and computes p-adic valuations, for the curves, the oracles
+and ``padic``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def as_int(v, name: str) -> int:
+    """``v`` read as an integer: an int or an integer string.
+
+    Raises ValueError for anything else, so a JSON 3.7, "3.7" or true is
+    refused instead of being truncated or read as 1.
+    """
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def poly_eval(coeffs: Sequence, x):

@@ -35,7 +35,7 @@ from .errors import (
     PrecisionInsufficient,
     ZeroArgument,
 )
-from .intpoly import INF, is_prime, vp  # also re-exported as padicann.padic.vp / .INF
+from .intpoly import INF, as_int, is_prime, vp  # also re-exported as padicann.padic.vp / .INF
 
 DEFAULT_PRECISION = 20
 
@@ -341,10 +341,11 @@ class PAdic:
     def from_json(cls, obj: dict, p: int) -> "PAdic":
         if obj.get("val") == "inf":
             return cls.zero(p)
-        prec = int(obj["prec"])
-        if obj.get("val") is None or int(obj.get("unit", "0")) == 0:
+        prec = as_int(obj["prec"], "prec")
+        unit = as_int(obj.get("unit", "0"), "unit")
+        if obj.get("val") is None or unit == 0:
             return cls.inexact_zero(p, prec)
-        return cls(p, int(obj["val"]), int(obj["unit"]), prec)
+        return cls(p, as_int(obj["val"], "val"), unit, prec)
 
 
 # ---------------------------------------------------------------------------

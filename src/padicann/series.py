@@ -20,6 +20,7 @@ from .errors import (
     OutsideDomain,
     ProvisionalPolygon,
 )
+from .intpoly import as_int
 from .padic import DEFAULT_PRECISION, PAdic
 
 
@@ -134,8 +135,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj):
-        p = int(obj["p"])
-        prec = int(obj.get("prec", DEFAULT_PRECISION))
+        p = as_int(obj["p"], "p")
+        prec = as_int(obj.get("prec", DEFAULT_PRECISION), "prec")
         terms = {}
         for n, c in obj["terms"].items():
             if isinstance(c, dict):

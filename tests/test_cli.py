@@ -106,8 +106,23 @@ def _zeros_job(p):
     (("search-points", "1/0,1,1,1", "--height", "5"), None),
     (("bounds", "--p", "9", "--e", "1", "--q", "9", "--g", "3", "--r", "0"), None),
     (("bounds", "--p", "3", "--e", "1", "--q", "5", "--g", "3", "--r", "0"), None),
+    (("count-zeros",), _zeros_job(3.7)),        # int() would read p = 3
+    (("count-zeros",), _zeros_job("3.7")),
+    (("count-zeros",), _zeros_job(True)),       # int() would read p = 1
+    (("count-zeros",), dict(_zeros_job(3), prec=2.5)),
+    (("verify-zeros",), dict(_zeros_job(3), N=2.9)),
+    (("decompose",), {"p": 3.7, "f": ["-1", "2", "0", "0", "0", "1"]}),
+    (("decompose",), {"p": 3, "f": ["-1", "2", "0", "0", "0", "1"],
+                      "precision": "10.5"}),
+    (("pullback",), {"curve": {"p": 3, "f": OCTIC, "precision": 30},
+                     "annulus_index": 0.5, "u_tilde": ["1"]}),
+    # one disk per free residue class: this p would never finish
+    (("decompose",), {"p": 1000000007, "precision": 10,
+                      "f": [str(c) for c in monic_from_roots([1, 2, 3, 4, 5])]}),
 ], ids=["p=1", "p=0", "p-semiprime", "zero-denominator", "p-not-prime",
-        "q-not-power-of-p"])
+        "q-not-power-of-p", "p-float", "p-float-string", "p-bool",
+        "prec-float", "N-float", "curve-p-float", "curve-precision-string",
+        "annulus-index-float", "decompose-huge-p"])
 def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
     if job is not None:
         path = tmp_path / "job.json"
@@ -118,7 +133,7 @@ def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
                           capture_output=True, text=True, timeout=10, env=env)
     assert proc.returncode == 1, proc.stderr
     error = json.loads(proc.stderr)["error"]
-    assert error["type"] in {"ValueError", "ZeroDivisionError"}
+    assert error["type"] in {"ValueError", "ZeroDivisionError", "UnsupportedRegime"}
 
 
 def test_large_prime_answers_quickly(tmp_path):

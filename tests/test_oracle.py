@@ -89,7 +89,8 @@ def test_kernel_parity_across_blocks(monkeypatch):
     assert scan_candidates(coeffs, 40) == _exact_filter(coeffs, 40)
 
 
-# h >= 48 reaches b = 47, the row b = 0 mod p of every scan prime
+# h = max(SCAN_MODULI) + 1 reaches b = 61, so every prime's row b = 0 mod p
+PRIME_ROW_HEIGHT = max(SCAN_MODULI) + 1
 NEW_PRIME_ROW_INPUTS = [
     [3, -2, 0, 1, 0, 17 * 19 * 5],  # leading coefficient divisible by 17*19
     [-6, 11, -6, 1],  # roots 1, 2, 3: a root mod every prime
@@ -99,13 +100,24 @@ NEW_PRIME_ROW_INPUTS = [
 
 @pytest.mark.parametrize("coeffs", NEW_PRIME_ROW_INPUTS)
 def test_kernel_parity_on_every_prime_row(coeffs):
-    assert scan_candidates(coeffs, 48) == _exact_filter(coeffs, 48)
+    h = PRIME_ROW_HEIGHT
+    assert scan_candidates(coeffs, h) == _exact_filter(coeffs, h)
 
 
 def test_kernel_parity_on_every_prime_row_across_blocks(monkeypatch):
     monkeypatch.setattr(scanner, "_BLOCK_CELLS", 200)
     coeffs = NEW_PRIME_ROW_INPUTS[0]
-    assert scan_candidates(coeffs, 50) == _exact_filter(coeffs, 50)
+    h = PRIME_ROW_HEIGHT + 2
+    assert scan_candidates(coeffs, h) == _exact_filter(coeffs, h)
+
+
+@pytest.mark.parametrize("height, survivors", [(2000, 4263), (10**4, 27306)])
+def test_kernel_strength_on_the_septic(height, survivors):
+    # pins how many pairs the sieve keeps on y^2 = x^7 + 1: dropping or
+    # weakening a prime raises the count (the four points all survive)
+    out = scan_candidates([1, 0, 0, 0, 0, 0, 0, 1], height)
+    assert len(out) == survivors
+    assert {(0, 1), (-1, 1)} <= set(out)
 
 
 def test_kernel_order_is_b_major_a_ascending():
