@@ -13,12 +13,10 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
-from typing import Optional
 
 from .errors import PadicannError
-from .intpoly import as_int
-from .padic import DEFAULT_PRECISION, PAdic
+from .intpoly import as_int, as_rational
+from .padic import PAdic
 
 SCHEMA = "padicann/1"
 
@@ -37,43 +35,34 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(report: dict, args, table: Optional[str] = None) -> None:
-    """JSON to stdout, or to --out with any text rendering on stdout."""
-    report = {"schema": SCHEMA, **report}
-    text = _dump(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if table is not None:
-            sys.stdout.write(table)
-    else:
-        sys.stdout.write(text)
+def _emit(report: dict) -> None:
+    sys.stdout.write(_dump({"schema": SCHEMA, **report}))
 
 
-def _rational(v) -> Fraction:
-    return Fraction(str(v))
+def _write_out(path: str, report: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_dump({"schema": SCHEMA, **report}))
 
 
-def _padic_in(obj, p: int, prec: int) -> PAdic:
+def _padic_in(obj, name: str, p: int, prec: int) -> PAdic:
     """Accept {"val","unit","prec"} dicts or plain rational literals."""
     if isinstance(obj, dict):
         return PAdic.from_json(obj, p)
-    return PAdic.from_rational(_rational(obj), p, prec)
-
-
-def _curve_from_obj(obj: dict, precision: Optional[int]):
-    from .curves import HyperellipticCurve
-
-    if precision is not None:
-        obj = dict(obj, precision=precision)
-    return HyperellipticCurve.from_json(obj)
+    return PAdic.from_rational(as_rational(obj, name), p, prec)
 
 
 def _matrix_from_obj(obj: dict):
     vm = obj.get("valuation_matrix")
     if vm is None:
         return None
-    return [[_rational(x) for x in row] for row in vm]
+    return [[as_rational(x, "valuation_matrix") for x in row] for row in vm]
+
+
+def _flag(job: dict, key: str) -> bool:
+    v = job.get(key, False)
+    if not isinstance(v, bool):
+        raise ValueError(f"{key} must be true or false, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +74,11 @@ def _cmd_bounds(args) -> int:
     from .bounds import bound_report
 
     rep = bound_report(args.p, args.e, args.q, args.g, args.r, args.d)
-    _emit(rep.to_dict(), args, table=_bounds_table(rep))
+    if args.out:
+        _write_out(args.out, rep.to_dict())
+        sys.stdout.write(_bounds_table(rep))
+    else:
+        _emit(rep.to_dict())
     return 0
 
 
@@ -126,27 +119,25 @@ def _bounds_table(rep) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    from .curves import decompose
+    from .curves import HyperellipticCurve, decompose
 
     obj = _read_job(args.curve)
-    curve = _curve_from_obj(obj, args.precision)
-    dec = decompose(curve, _matrix_from_obj(obj))
-    _emit(dec.to_json(), args)
+    dec = decompose(HyperellipticCurve.from_json(obj), _matrix_from_obj(obj))
+    _emit(dec.to_json())
     return 0
 
 
 def _cmd_pullback(args) -> int:
-    from .curves import decompose, pullback_differential
+    from .curves import HyperellipticCurve, decompose, pullback_differential
 
     job = _read_job(args.job)
-    curve = _curve_from_obj(job["curve"], args.precision)
-    dec = decompose(curve, _matrix_from_obj(job))
+    dec = decompose(HyperellipticCurve.from_json(job["curve"]), _matrix_from_obj(job))
     idx = as_int(job["annulus_index"], "annulus_index")
     if not 0 <= idx < len(dec.annuli):
         raise ValueError(f"annulus_index {idx} out of range "
                          f"(decomposition has {len(dec.annuli)} annuli)")
     ann = dec.annuli[idx]
-    ld = pullback_differential(ann, [_rational(c) for c in job["u_tilde"]])
+    ld = pullback_differential(ann, [as_rational(c, "u_tilde") for c in job["u_tilde"]])
     support = ld.u.support()
     n1, n2 = ann.window
     inside = support is None or (n1 <= support[0] and support[1] <= n2)
@@ -162,7 +153,6 @@ def _cmd_pullback(args) -> int:
             "window": list(ann.window),
             "inside_window": inside,
         },
-        args,
     )
     return 0
 
@@ -172,20 +162,18 @@ def _cmd_count_zeros(args) -> int:
 
     job = _read_job(args.job)
     L = LaurentPoly.from_json(job)
-    lo, hi = (_rational(v) for v in job["window"])
+    lo, hi = (as_rational(v, "window") for v in job["window"])
+    include_lo, include_hi = _flag(job, "include_lo"), _flag(job, "include_hi")
     count = count_zeros_valuation_range(
-        L, lo, hi,
-        include_lo=bool(job.get("include_lo", False)),
-        include_hi=bool(job.get("include_hi", False)),
+        L, lo, hi, include_lo=include_lo, include_hi=include_hi,
     )
     _emit(
         {
             "count": count,
             "window": [str(lo), str(hi)],
-            "include_lo": bool(job.get("include_lo", False)),
-            "include_hi": bool(job.get("include_hi", False)),
+            "include_lo": include_lo,
+            "include_hi": include_hi,
         },
-        args,
     )
     return 0
 
@@ -203,20 +191,18 @@ def _cmd_integrate(args) -> int:
     idef = job["integrand"]
     ell = LaurentPoly.from_json(idef["ell"])
     p, prec = ell.p, ell.prec
-    if args.precision is not None:
-        prec = args.precision
-    xi0 = _padic_in(job["xi0"], p, prec)
-    xi1 = _padic_in(job["xi1"], p, prec)
+    xi0 = _padic_in(job["xi0"], "xi0", p, prec)
+    xi1 = _padic_in(job["xi1"], "xi1", p, prec)
     mode = job.get("mode", "annulus")
     if mode == "disk":
         value = integrate_disk(ell, xi0, xi1)
     else:
-        c = _padic_in(idef.get("c", 0), p, prec)
+        c = _padic_in(idef.get("c", 0), "c", p, prec)
         a = idef.get("a")
         integrand = AnnulusIntegrand(
             ell, c,
-            None if a is None else _padic_in(a, p, prec),
-            tuple(_rational(v) for v in idef.get("domain", (0, 1))),
+            None if a is None else _padic_in(a, "a", p, prec),
+            tuple(as_rational(v, "domain") for v in idef.get("domain", (0, 1))),
         )
         if mode == "annulus":
             value = integrate_annulus(integrand, xi0, xi1)
@@ -225,7 +211,7 @@ def _cmd_integrate(args) -> int:
         else:
             raise ValueError(f"unknown mode {mode!r}; "
                              f"expected disk, annulus or abelian")
-    _emit({"mode": mode, "p": p, "value": value.to_json()}, args)
+    _emit({"mode": mode, "p": p, "value": value.to_json()})
     return 0
 
 
@@ -248,7 +234,6 @@ def _cmd_graph_check(args) -> int:
             },
             "bounds": report,
         },
-        args,
     )
     return 0
 
@@ -256,21 +241,18 @@ def _cmd_graph_check(args) -> int:
 def _cmd_search_points(args) -> int:
     from .oracle import search_rational_points
 
-    coeffs = [_rational(c) for c in args.coeffs.split(",")]
-    result = search_rational_points(coeffs, args.height)
-    _emit(result.to_dict(), args)
+    coeffs = [as_rational(c, "coefficient") for c in args.coeffs.split(",")]
+    _emit(search_rational_points(coeffs, args.height).to_dict())
     return 0
 
 
 def _cmd_verify_cover(args) -> int:
-    from .curves import decompose
+    from .curves import HyperellipticCurve, decompose
     from .oracle import verify_decomposition_cover
 
     obj = _read_job(args.curve)
-    curve = _curve_from_obj(obj, None)
-    dec = decompose(curve, _matrix_from_obj(obj))
-    report = verify_decomposition_cover(curve, dec, args.precision)
-    _emit(report, args)
+    curve = HyperellipticCurve.from_json(obj)
+    _emit(verify_decomposition_cover(curve, decompose(curve, _matrix_from_obj(obj))))
     return 0
 
 
@@ -280,7 +262,7 @@ def _cmd_verify_zeros(args) -> int:
 
     job = _read_job(args.job)
     L = LaurentPoly.from_json(job)
-    lo, hi = (_rational(v) for v in job["window"])
+    lo, hi = (as_rational(v, "window") for v in job["window"])
     newton = count_zeros_valuation_range(L, lo, hi)
     oracle = enumerate_padic_zeros(L, L.p, (lo, hi), as_int(job.get("N", 6), "N"))
     _emit(
@@ -292,7 +274,6 @@ def _cmd_verify_zeros(args) -> int:
             # enumerates Q_p only, so < is legitimate for irrational zeros.
             "match": newton == oracle,
         },
-        args,
     )
     return 0
 
@@ -310,18 +291,15 @@ def _cmd_selftest(args) -> int:
         else f"{len(failed)} of {len(results)} criteria failed"
     )
     sys.stdout.write("\n".join(lines) + "\n")
-    if getattr(args, "out", None):
-        payload = {
-            "schema": SCHEMA,
+    if args.out:
+        _write_out(args.out, {
             "criteria": [
                 {"id": r.id, "name": r.name, "ok": r.ok, "detail": r.detail,
                  "budget": r.budget}
                 for r in results
             ],
             "ok": not failed,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(payload))
+        })
     return 1 if failed else 0
 
 
@@ -338,13 +316,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_):
+    def add(name, func, help_, out=None):
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(func=func)
-        sp.add_argument("--out", metavar="FILE", help="also write the JSON report here")
+        if out:
+            sp.add_argument("--out", metavar="FILE",
+                            help=f"write the JSON report here, and {out} to stdout")
         return sp
 
-    sp = add("bounds", _cmd_bounds, "full bound report for (p, e, q, g, r)")
+    sp = add("bounds", _cmd_bounds, "full bound report for (p, e, q, g, r)",
+             out="an aligned table")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
@@ -354,18 +335,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("decompose", _cmd_decompose, "annulus/disk decomposition of P^1 for a curve")
     sp.add_argument("curve", help="curve JSON file: {p, f, precision?, valuation_matrix?}")
-    sp.add_argument("--precision", type=int, default=None)
 
     sp = add("pullback", _cmd_pullback, "pull a differential back to one annulus")
     sp.add_argument("job", help="JSON file: {curve, annulus_index, u_tilde}")
-    sp.add_argument("--precision", type=int, default=None)
 
     sp = add("count-zeros", _cmd_count_zeros, "Newton-polygon zero count on a window")
     sp.add_argument("job", help="JSON file: {p, terms, window, include_lo?, include_hi?}")
 
     sp = add("integrate", _cmd_integrate, "p-adic integral of a Laurent integrand")
     sp.add_argument("job", help="JSON file: {integrand, xi0, xi1, mode?}")
-    sp.add_argument("--precision", type=int, default=None)
 
     sp = add("graph-check", _cmd_graph_check, "validate a special-fiber graph and its bounds")
     sp.add_argument("graph", help="graph JSON file: {vertices, edges}")
@@ -377,15 +355,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("coeffs", help="comma-separated ascending coefficients of f")
     sp.add_argument("--height", type=int, required=True)
 
-    sp = add("verify-cover", _cmd_verify_cover, "audit a decomposition as an exact cover of Z_p")
+    sp = add("verify-cover", _cmd_verify_cover,
+             "audit a decomposition as an exact cover of Z_p, mod the least "
+             "power of p that resolves every region")
     sp.add_argument("curve", help="curve JSON file")
-    sp.add_argument("--precision", type=int, required=True,
-                    help="audit residue classes mod p^precision")
 
     sp = add("verify-zeros", _cmd_verify_zeros, "Newton count vs exhaustive Q_p enumeration")
     sp.add_argument("job", help="JSON file: {p, terms, window, N?}")
 
-    add("selftest", _cmd_selftest, "run the acceptance criteria and print the matrix")
+    add("selftest", _cmd_selftest, "run the acceptance criteria and print the matrix",
+        out="the matrix")
 
     return parser
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .intpoly import (
     as_int,
+    as_rational,
     clear_denominators,
     poly_derivative,
     poly_eval,
@@ -190,7 +191,7 @@ class HyperellipticCurve:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            [Fraction(str(c)) for c in obj["f"]],
+            [as_rational(c, "f") for c in obj["f"]],
             as_int(obj["p"], "p"),
             as_int(obj.get("precision", DEFAULT_PRECISION), "precision"),
         )
@@ -272,24 +273,15 @@ def _build_node(indices: List[int], matrix) -> ClusterNode:
     if len(indices) == 1:
         return ClusterNode((indices[0],), None)
     depth = min(matrix[i][j] for i in indices for j in indices if i < j)
-    # partition at valuation > depth (transitive for ultrametric input)
-    remaining = list(indices)
-    classes = []
-    while remaining:
-        seed = remaining.pop(0)
-        cls = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for k in list(remaining):
-                if any(matrix[k][c] > depth for c in cls):
-                    cls.append(k)
-                    remaining.remove(k)
-                    changed = True
-        classes.append(sorted(cls))
-    children = [_build_node(cls, matrix) for cls in classes]
+    # on ultrametric input "v > depth" is an equivalence relation, so each
+    # class is read off its first member (the diagonal is INF > depth)
+    classes = {}
+    for k in indices:
+        seed = next((s for s in classes if matrix[s][k] > depth), k)
+        classes.setdefault(seed, []).append(k)
+    children = [_build_node(cls, matrix) for cls in classes.values()]
     children.sort(key=lambda ch: (ch.depth if ch.depth is not None else INF, ch.least))
-    return ClusterNode(tuple(sorted(indices)), depth, children)
+    return ClusterNode(tuple(indices), depth, children)
 
 
 def build_cluster_tree(curve: HyperellipticCurve, valuation_matrix=None) -> ClusterTree:
@@ -304,8 +296,13 @@ def build_cluster_tree(curve: HyperellipticCurve, valuation_matrix=None) -> Clus
         ]
         for i in range(n):
             for j in range(n):
-                if i != j and matrix[i][j] != matrix[j][i]:
+                if matrix[i][j] != matrix[j][i]:
                     raise ValueError("valuation matrix must be symmetric")
+                for k in range(n):
+                    if matrix[i][j] < min(matrix[i][k], matrix[k][j]):
+                        raise ValueError(
+                            f"valuation matrix must be ultrametric: entry ({i}, {j}) "
+                            f"is below entries ({i}, {k}) and ({k}, {j})")
         roots = None
     else:
         roots = curve.roots()
@@ -438,7 +435,6 @@ def _classify_edge(curve, tree, parent: ClusterNode,
     d_par, d_ch = Fraction(parent.depth), Fraction(child.depth)
     flags = []
 
-    have_roots = tree.roots is not None
     if s == 2:
         kind, nu = WEIERSTRASS, 1
     elif s % 2 == 1:
@@ -456,7 +452,10 @@ def _classify_edge(curve, tree, parent: ClusterNode,
 
     gamma = alpha = a_const = center = None
     split = None
-    if have_roots:
+    # v(center - theta_j) = v(theta_least - theta_j) for every theta_j
+    # outside the child, also at the midpoint of a pair since p is odd
+    v_gamma = _gamma_valuation_from_matrix(curve, tree, child)
+    if tree.roots is not None:
         roots = tree.roots
         if kind == WEIERSTRASS:
             i1, i2 = child.indices
@@ -466,7 +465,6 @@ def _classify_edge(curve, tree, parent: ClusterNode,
         else:
             center = roots[child.least]
         gamma = _gamma_for(curve, tree, child, center)
-        v_gamma = Fraction(gamma.valuation)
         if kind in (EVEN, WEIERSTRASS):
             split = is_square(gamma)
             if split:
@@ -475,7 +473,6 @@ def _classify_edge(curve, tree, parent: ClusterNode,
                 flags.append("non-split")
     else:
         flags.append("gamma-unknown")
-        v_gamma = _gamma_valuation_from_matrix(curve, tree, child)
 
     if kind == ODD:
         domain = ((d_par - v_gamma) / 2, (d_ch - v_gamma) / 2)

@@ -25,6 +25,7 @@ from .errors import (
     RelationViolated,
     UnclassifiableVertex,
 )
+from .intpoly import as_int
 
 EdgeTriple = Tuple[int, int, int]
 
@@ -60,6 +61,10 @@ class ArithGraph:
         for v in vertices:
             if not isinstance(v, Vertex):
                 v = Vertex(*v)
+            ids = v.case3_point_ids
+            v = Vertex(as_int(v.m, "m"), as_int(v.pa, "pa"), as_int(v.w, "w"),
+                       None if ids is None
+                       else tuple(as_int(j, "case3_point_ids") for j in ids))
             if v.m < 1:
                 raise ValueError(f"vertex multiplicity must be >= 1, got {v.m}")
             if v.pa < 0:
@@ -74,18 +79,16 @@ class ArithGraph:
             ids = v.case3_point_ids
             if ids is None:
                 continue
-            ids = tuple(ids)
             if len(ids) != 2 or ids[0] == ids[1]:
                 raise ValueError("case3_point_ids must be two distinct indices")
             if not all(0 <= j < n for j in ids) or i in ids:
                 raise ValueError("case3_point_ids out of range")
-            verts[i] = Vertex(v.m, v.pa, v.w, ids)
 
         emap: Dict[Tuple[int, int], int] = {}
         for e in edges:
             if len(e) != 3:
                 raise ValueError(f"edge must be [i, j, multiplicity], got {e!r}")
-            a, b, mult = (int(x) for x in e)
+            a, b, mult = (as_int(x, "edge entry") for x in e)
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge endpoint out of range: {e!r}")
             if a == b:
@@ -192,17 +195,8 @@ class ArithGraph:
             raw_edges = data.get("edges", [])
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed graph payload: {exc}") from exc
-        verts = []
-        for d in raw_verts:
-            ids = d.get("case3_point_ids")
-            verts.append(
-                Vertex(
-                    int(d["m"]),
-                    int(d["pa"]),
-                    int(d["w"]),
-                    tuple(int(x) for x in ids) if ids is not None else None,
-                )
-            )
+        verts = [Vertex(d["m"], d["pa"], d["w"], d.get("case3_point_ids"))
+                 for d in raw_verts]
         return cls(verts, raw_edges)
 
     @classmethod

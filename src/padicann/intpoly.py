@@ -1,8 +1,8 @@
 """Integer and rational polynomials (ascending coefficient lists).
 
-The one place that parses curve coefficients and integer inputs, clears
-denominators and computes p-adic valuations, for the curves, the oracles
-and ``padic``.
+The one place that parses curve coefficients and integer and rational
+inputs, clears denominators and computes p-adic valuations, for the
+curves, the oracles and ``padic``.
 """
 
 from __future__ import annotations
@@ -87,6 +87,19 @@ def as_int(v, name: str) -> int:
         except ValueError:
             pass
     raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def as_rational(v, name: str) -> Fraction:
+    """``v`` read as a rational: an int, or a string or float such as "-3",
+    "7/2" or 0.25.
+
+    Raises ValueError for true/false and for exponent notation, where the
+    ten characters "1e10000000" would build a ten-million-digit integer.
+    """
+    if isinstance(v, (int, float, str)) and not isinstance(v, bool) \
+            and "e" not in str(v).lower():
+        return Fraction(str(v))
+    raise ValueError(f"{name} must be a rational such as -3, 7/2 or 0.25, got {v!r}")
 
 
 def poly_eval(coeffs: Sequence, x):

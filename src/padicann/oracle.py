@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .curves import Decomposition, HyperellipticCurve
 from .errors import CertificationFailed, CoverageGap, DoubleCover
@@ -220,14 +220,20 @@ def _taylor_coefficients(f, x: int) -> List[int]:
 
 def verify_decomposition_cover(curve: HyperellipticCurve,
                                decomposition: Decomposition,
-                               N: int) -> dict:
+                               N: Optional[int] = None) -> dict:
     """Check that disks and annulus shells tile Z_p exactly once mod p^N.
 
-    Every residue class mod p^N is tested for membership in each disk
+    Every residue class mod p^need is tested for membership in each disk
     region {v(x - anchor) > level} and each annulus x-shell
-    {parent_depth < v(x - anchor) < child_depth}.  Shells under a
-    weierstrass disk region are subsumed by it and skipped.  The region
-    at infinity covers v(x) < 0 and is outside the enumeration.
+    {parent_depth < v(x - anchor) < child_depth}, where need is the
+    deepest level + 1 or child depth, so each membership is decided mod
+    p^need.  Shells under a weierstrass disk region are subsumed by it and
+    skipped.  The region at infinity covers v(x) < 0 and is outside the
+    enumeration.
+
+    N defaults to need.  A larger N changes only the counts: each class mod
+    p^need stands for p^(N - need) classes mod p^N that hit the same regions,
+    and its least member, the class's residue, is the first of them.
 
     Raises CoverageGap / DoubleCover, else returns a report with the
     per-annulus shell class counts.
@@ -254,34 +260,37 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
         d_lo, d_hi = int(parent.depth), int(child.depth)
         shells.append((idx, anchor, d_lo, d_hi))
         need = max(need, d_hi)
-    if N < need:
+    if N is None:
+        N = need
+    elif N < need:
         raise ValueError(f"need N >= {need} to resolve every region")
 
+    lifts = p ** (N - need)
     modulus = p**N
     shell_classes = {idx: 0 for idx, *_ in shells}
     gaps: List[int] = []
     doubles: List[int] = []
-    for x in range(modulus):
+    for x in range(p**need):
         hits = 0
         for _, anchor, q in disks:
             if (x - anchor) % q == 0:
                 hits += 1
         for idx, anchor, d_lo, d_hi in shells:
-            v = vp(x - anchor, p, N)
+            v = vp(x - anchor, p, need)
             if d_lo < v < d_hi:
                 hits += 1
-                shell_classes[idx] += 1
+                shell_classes[idx] += lifts
         if hits == 0:
             gaps.append(x)
         elif hits > 1:
             doubles.append(x)
     if gaps:
         raise CoverageGap(
-            f"{len(gaps)} of {modulus} classes uncovered, first x = {gaps[0]}"
+            f"{len(gaps) * lifts} of {modulus} classes uncovered, first x = {gaps[0]}"
         )
     if doubles:
         raise DoubleCover(
-            f"{len(doubles)} of {modulus} classes multiply covered, "
+            f"{len(doubles) * lifts} of {modulus} classes multiply covered, "
             f"first x = {doubles[0]}"
         )
     return {

@@ -20,7 +20,7 @@ from .errors import (
     OutsideDomain,
     ProvisionalPolygon,
 )
-from .intpoly import as_int
+from .intpoly import as_int, as_rational
 from .padic import DEFAULT_PRECISION, PAdic
 
 
@@ -142,7 +142,7 @@ class LaurentPoly:
             if isinstance(c, dict):
                 terms[int(n)] = PAdic.from_json(c, p)
             else:
-                terms[int(n)] = Fraction(str(c))
+                terms[int(n)] = as_rational(c, f"term {n}")
         return cls(p, terms, prec)
 
 

@@ -119,10 +119,24 @@ def _zeros_job(p):
     # one disk per free residue class: this p would never finish
     (("decompose",), {"p": 1000000007, "precision": 10,
                       "f": [str(c) for c in monic_from_roots([1, 2, 3, 4, 5])]}),
+    # exponent notation would build a ten-million-digit integer
+    (("search-points", "1e10000000,0,0,1", "--height", "2"), None),
+    (("decompose",), {"p": 3, "f": ["1e10000000", "2", "0", "0", "0", "1"]}),
+    # v(a - b) = 0 < min(v(a - c), v(b - c)): no cluster tree exists
+    (("decompose",), {"p": 3, "f": [str(c) for c in monic_from_roots([1, 2, 3, 4, 5])],
+                      "valuation_matrix": [[0, 0, 1, 0, 0], [0, 0, 2, 0, 0],
+                                           [1, 2, 0, 0, 0], [0, 0, 0, 0, 0],
+                                           [0, 0, 0, 0, 0]]}),
+    # int() would read m = 1, a valid genus-2 graph
+    (("graph-check",), {"vertices": [{"m": 1.9, "pa": 2, "w": 2}], "edges": []}),
+    # bool() would read "false" as true
+    (("count-zeros",), dict(_zeros_job(3), include_lo="false")),
 ], ids=["p=1", "p=0", "p-semiprime", "zero-denominator", "p-not-prime",
         "q-not-power-of-p", "p-float", "p-float-string", "p-bool",
         "prec-float", "N-float", "curve-p-float", "curve-precision-string",
-        "annulus-index-float", "decompose-huge-p"])
+        "annulus-index-float", "decompose-huge-p", "coefficient-exponent",
+        "curve-f-exponent", "matrix-not-ultrametric", "graph-m-float",
+        "include-lo-string"])
 def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
     if job is not None:
         path = tmp_path / "job.json"
@@ -306,9 +320,11 @@ def test_search_points_negative_leading_coefficient_list(capsys, argv):
 
 
 def test_verify_cover(capsys, octic_file):
-    rep = run_json(capsys, "verify-cover", octic_file, "--precision", "4")
+    # every region of the octic is resolved mod 3^2
+    rep = run_json(capsys, "verify-cover", octic_file)
     assert rep["ok"] is True
-    assert rep["classes"] == 81
+    assert rep["modulus_exponent"] == 2
+    assert rep["classes"] == 9
 
 
 def test_verify_zeros_match_and_legitimate_mismatch(capsys, tmp_path):

@@ -217,6 +217,12 @@ def test_valuation_matrix_mode():
     with pytest.raises(ValueError):
         build_cluster_tree(curve, bad)
 
+    # v(0 - 9) = 0 is below v(0 - 3) = v(3 - 9) = 1: not ultrametric
+    bad = [row[:] for row in matrix]
+    bad[0][2] = bad[2][0] = 0
+    with pytest.raises(ValueError, match="ultrametric"):
+        build_cluster_tree(curve, bad)
+
 
 # ---------------------------------------------------------------------------
 # decomposition

@@ -370,3 +370,18 @@ def test_from_json_rejects_malformed():
         ArithGraph.from_dict(
             {"vertices": [{"m": 1, "pa": 1, "w": 0}], "edges": [[0, 0]]}
         )
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": [{"m": 1.9, "pa": 2, "w": 2}]},
+    {"vertices": [{"m": 1, "pa": 3.7, "w": 4}]},
+    {"vertices": [{"m": 1, "pa": 1, "w": 1}, {"m": 1, "pa": 1, "w": 1}],
+     "edges": [[0, 1.7, 2.9]]},
+    {"vertices": [{"m": 1, "pa": 0, "w": 0, "case3_point_ids": [1, 2.5]},
+                  {"m": 1, "pa": 1, "w": 1}, {"m": 1, "pa": 1, "w": 1}]},
+    {"vertices": [{"m": True, "pa": 2, "w": 2}]},
+])
+def test_from_dict_refuses_non_integer_fields(data):
+    # int() would truncate 1.9 to 1 and read a valid graph
+    with pytest.raises(ValueError, match="must be an integer"):
+        ArithGraph.from_dict(data)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from padicann.curves import HyperellipticCurve
 from padicann.intpoly import (
+    as_rational,
     clear_denominators,
     is_prime,
     poly_derivative,
@@ -164,3 +165,17 @@ def test_squarefree_coefficients_parses_and_strips():
         squarefree_coefficients([2, -3, 0, 1], 3)  # (x - 1)^2 (x + 2)
     with pytest.raises(ValueError):
         squarefree_coefficients([1, 1, 0], 3)
+
+
+@pytest.mark.parametrize("v, expected", [
+    (3, Fraction(3)), ("-3", Fraction(-3)), ("7/2", Fraction(7, 2)),
+    (0.25, Fraction(1, 4)), ("0.25", Fraction(1, 4)),
+])
+def test_as_rational_reads_ints_fractions_and_decimals(v, expected):
+    assert as_rational(v, "c") == expected
+
+
+@pytest.mark.parametrize("v", [True, False, "1e10000000", "2E3", 1e20, None, [1]])
+def test_as_rational_refuses_booleans_and_exponents(v):
+    with pytest.raises(ValueError, match="c must be a rational"):
+        as_rational(v, "c")

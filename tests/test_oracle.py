@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,15 @@ def test_cover_needs_enough_depth(octic):
         verify_decomposition_cover(curve, dec, 1)
 
 
+def test_cover_count_scales_without_enumerating_p_to_the_n():
+    c = HyperellipticCurve(monic_from_roots([1, 2, 3, 4, 5]), 3, 30)
+    dec = decompose(c)
+    start = time.perf_counter()
+    rep = verify_decomposition_cover(c, dec, 40)
+    assert time.perf_counter() - start < 1
+    assert rep["ok"] and rep["classes"] == 3**40
+
+
 def test_cover_requires_disks():
     # non-integral roots: decomposition skips the disk regions
     c = HyperellipticCurve(monic_from_roots([Fraction(1, 3), 1, 2, 4, 5]), 3, 30)
@@ -469,6 +479,12 @@ def test_random_split_curves_tile_z_p_once(case):
     # roots differ mod p^3, so every region is resolved mod p^3
     report = verify_decomposition_cover(curve, dec, 3)
     assert report["ok"] and report["classes"] == p**3
+    # at the resolved depth each class stands for its lifts mod p^3
+    least = verify_decomposition_cover(curve, dec)
+    lifts = p ** (3 - least["modulus_exponent"])
+    assert least["classes"] * lifts == p**3
+    assert {i: n * lifts for i, n in least["shell_classes"].items()} \
+        == report["shell_classes"]
 
 
 @given(
