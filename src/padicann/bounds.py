@@ -10,7 +10,6 @@ disk bound 1 + n + delta and the annulus bound B_A both read them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Union
@@ -270,17 +269,6 @@ def min_unlikely_n(dim_B: int, g: int, r: int) -> int:
     n = int(threshold) + 1
     assert n > threshold >= n - 1
     return n
-
-
-def asymptotic_R(d: int, g: int, r: int) -> int:
-    """Order-of-magnitude envelope g(p^d + d(r+1)), p smallest prime > d+1.
-
-    This is a growth envelope, not a proven bound with constant 1.
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    p = next(n for n in itertools.count(d + 2) if is_prime(n))
-    return g * (p**d + d * (r + 1))
 
 
 # -- aggregate report ----------------------------------------------------------

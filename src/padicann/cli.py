@@ -16,7 +16,7 @@ import sys
 
 from .errors import PadicannError
 from .intpoly import as_int, as_rational
-from .padic import PAdic
+from .padic import DEFAULT_PRECISION, PAdic
 
 SCHEMA = "padicann/1"
 
@@ -261,10 +261,15 @@ def _cmd_verify_zeros(args) -> int:
     from .series import LaurentPoly, count_zeros_valuation_range
 
     job = _read_job(args.job)
-    L = LaurentPoly.from_json(job)
+    p = as_int(job["p"], "p")
+    prec = as_int(job.get("prec", DEFAULT_PRECISION), "prec")
+    # both sides read the same exact rationals; a {"val", "unit", "prec"}
+    # term is known only mod p^prec, so it is refused here
+    terms = {int(n): as_rational(c, f"term {n}") for n, c in job["terms"].items()}
+    L = LaurentPoly(p, terms, prec)
     lo, hi = (as_rational(v, "window") for v in job["window"])
     newton = count_zeros_valuation_range(L, lo, hi)
-    oracle = enumerate_padic_zeros(L, L.p, (lo, hi), as_int(job.get("N", 6), "N"))
+    oracle = enumerate_padic_zeros(terms, p, (lo, hi), as_int(job.get("N", 6), "N"))
     _emit(
         {
             "window": [str(lo), str(hi)],

@@ -556,6 +556,9 @@ def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
 
 
 _MAX_DECOMPOSE_P = 1 << 16
+# roots and region centers are residues mod p^precision, and the root
+# finder's cost grows faster than their size, so that size is bounded too
+_MAX_DECOMPOSE_BITS = 1 << 13
 
 
 def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition:
@@ -568,6 +571,10 @@ def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition
         raise UnsupportedRegime(
             f"p = {curve.p} is too large: the decomposition has one disk per "
             f"free residue class, so p must be below {_MAX_DECOMPOSE_P}")
+    if curve.precision * curve.p.bit_length() > _MAX_DECOMPOSE_BITS:
+        raise UnsupportedRegime(
+            f"precision {curve.precision} is too large at p = {curve.p}: "
+            f"residues mod p^precision must fit in {_MAX_DECOMPOSE_BITS} bits")
     tree = build_cluster_tree(curve, valuation_matrix)
     flags = []
 

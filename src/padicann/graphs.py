@@ -333,24 +333,21 @@ def classify(graph: ArithGraph) -> FiberClassification:
 # -- structural bounds ---------------------------------------------------------
 
 
-def check_specialfiber_bounds(graph: ArithGraph, u_input: Optional[int] = None) -> dict:
+def check_specialfiber_bounds(graph: ArithGraph) -> dict:
     """Verify the three count bounds a special fiber must satisfy.
 
     Checks ``N <= 2g - 2``, ``#chains <= N - 1 + t'``, and that the number of
-    multiplicity-1 (-2)-curves outside chains is at most ``3u``.  When ``u``
-    is not supplied it is replaced by the proxy ``g - t' - p_sum`` evaluated
-    on the graph with all tangency / triple-point configurations rewritten
-    (each rewrite lowers the loop rank by one), which is the graph the A^1
-    bound actually applies to; the report labels which value was used.
+    multiplicity-1 (-2)-curves outside chains is at most ``3u``.  ``u`` is
+    the proxy ``g - t' - p_sum`` evaluated on the graph with all tangency /
+    triple-point configurations rewritten (each rewrite lowers the loop rank
+    by one), which is the graph the A^1 bound actually applies to; the
+    report's ``u_source`` names it.
     """
     g, t_prime, p_sum = graph.validate()
     cls = classify(graph)
     a1 = cls.a1_outside_chains
     n_rewrites = len(cls.case3) + len(cls.case4)
-    if u_input is not None:
-        u, u_source = u_input, "input"
-    else:
-        u, u_source = g - (t_prime - n_rewrites) - p_sum, "proxy"
+    u = g - (t_prime - n_rewrites) - p_sum
 
     report = {
         "genus": g,
@@ -363,7 +360,7 @@ def check_specialfiber_bounds(graph: ArithGraph, u_input: Optional[int] = None) 
         "a1_outside_chains": a1,
         "a1_bound": 3 * u,
         "u": u,
-        "u_source": u_source,
+        "u_source": "proxy",
     }
     failures = []
     if cls.N > 2 * g - 2:

@@ -4,8 +4,10 @@ Rational points come from an exhaustive height scan, p-adic zero counts
 from a digit-by-digit descent over residue classes certified by Hensel's
 lemma, and coverage reports from literal membership tests on every residue
 class.  Nothing here calls the Newton-polygon counters, the cluster
-decomposition or its root finder that it checks: the only code shared with
-them is the ``intpoly`` helpers (coefficient parsing, clearing
+decomposition or its root finder that it checks, nor imports their
+modules: zero counts read exact rational terms, and the coverage audit
+reads only the regions a decomposition publishes.  The only code shared
+with them is the ``intpoly`` helpers (coefficient parsing, clearing
 denominators, valuations).
 """
 
@@ -15,13 +17,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .curves import Decomposition, HyperellipticCurve
 from .errors import CertificationFailed, CoverageGap, DoubleCover
 from .intpoly import clear_denominators, squarefree_coefficients, vp
 from .scanner import scan_candidates
-from .series import LaurentPoly
+
+if TYPE_CHECKING:
+    from .curves import Decomposition, HyperellipticCurve
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +106,11 @@ def search_rational_points(f, height: int) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _as_term_map(f) -> Dict[int, Fraction]:
-    if isinstance(f, LaurentPoly):
-        if f.bound_terms():
-            raise ValueError("oracle needs exact coefficients, got O(p^N) terms")
-        return {n: c.lift() for n, c in f.definite_terms().items()}
-    if isinstance(f, dict):
-        return {int(n): Fraction(c) for n, c in f.items()}
-    return {i: Fraction(c) for i, c in enumerate(f)}
-
-
 def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     """Count zeros of f in Q_p with valuation strictly inside ``window``.
 
+    f is exact: a list of ascending coefficients, or a dict from exponent
+    to coefficient (a Laurent polynomial), each an int, Fraction or string.
     Zeros in Q_p have integer valuations, and only valuations where two
     terms of f tie can hold one (``_tied_valuations``).  So the search
     runs over those integers m in the open window, however wide it is, and
@@ -126,7 +121,10 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    terms = {n: c for n, c in _as_term_map(f).items() if c != 0}
+    if not isinstance(f, dict):
+        f = dict(enumerate(f))
+    terms = {int(n): Fraction(c) for n, c in f.items()}
+    terms = {n: c for n, c in terms.items() if c}
     if not terms:
         raise ValueError("the zero polynomial has no isolated zeros")
     shift = min(terms)
@@ -223,13 +221,13 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
                                N: Optional[int] = None) -> dict:
     """Check that disks and annulus shells tile Z_p exactly once mod p^N.
 
-    Every residue class mod p^need is tested for membership in each disk
-    region {v(x - anchor) > level} and each annulus x-shell
-    {parent_depth < v(x - anchor) < child_depth}, where need is the
-    deepest level + 1 or child depth, so each membership is decided mod
-    p^need.  Shells under a weierstrass disk region are subsumed by it and
-    skipped.  The region at infinity covers v(x) < 0 and is outside the
-    enumeration.
+    Every residue class mod p^need is tested for membership in each
+    published disk region {v(x - anchor) > level} and each published
+    annulus's x-shell {d_lo < v(x - center) < d_hi}, (d_lo, d_hi) its
+    ``depths``, where need is the deepest level + 1 or d_hi, so each
+    membership is decided mod p^need.  Weierstrass annuli lie inside their
+    disk region and are skipped.  The region at infinity covers v(x) < 0
+    and is outside the enumeration.
 
     N defaults to need.  A larger N changes only the counts: each class mod
     p^need stands for p^(N - need) classes mod p^N that hit the same regions,
@@ -251,14 +249,12 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
         disks.append((i, r.anchor, p ** (level + 1)))
         need = max(need, level + 1)
 
-    tree = decomposition.tree
     shells = []
-    for idx, (parent, child) in enumerate(tree.edges()):
-        if child.size == 2:
+    for idx, A in enumerate(decomposition.annuli):
+        if A.kind == "weierstrass":
             continue  # inside the weierstrass disk region
-        anchor = int(tree.roots[child.least].lift())
-        d_lo, d_hi = int(parent.depth), int(child.depth)
-        shells.append((idx, anchor, d_lo, d_hi))
+        d_lo, d_hi = (int(d) for d in A.depths)
+        shells.append((idx, int(A.center.lift()), d_lo, d_hi))
         need = max(need, d_hi)
     if N is None:
         N = need

@@ -9,7 +9,6 @@ from padicann.bounds import (
     R_rational,
     Unevaluated,
     annulus_count_bound,
-    asymptotic_R,
     bound_report,
     density_lower_bound,
     disk_count_bound,
@@ -187,12 +186,6 @@ def test_min_unlikely_n_examples():
                 threshold = Fraction(dim_B + g + g * r, g - 1)
                 assert n > threshold
                 assert n - 1 <= threshold
-
-
-def test_asymptotic_envelope():
-    assert asymptotic_R(1, 3, 0) == 12
-    assert asymptotic_R(2, 3, 0) == 81
-    assert asymptotic_R(1, 10, 3) == 70
 
 
 def test_bound_report_full_inputs():

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import padicann
 import padicann.selftest
@@ -99,6 +106,20 @@ def _zeros_job(p):
     return {"p": p, "terms": {"0": "-3", "1": "1"}, "window": ["0", "2"]}
 
 
+QUINTIC = [str(c) for c in monic_from_roots([1, 2, 3, 4, 5])]
+
+
+def _run_cli(tmp_path, argv, job=None):
+    """``python -m padicann.cli`` in a fresh process, killed after 10 s."""
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = argv + (str(path),)
+    env = dict(os.environ, PYTHONPATH=str(Path(padicann.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "padicann.cli", *argv],
+                          capture_output=True, text=True, timeout=10, env=env)
+
+
 @pytest.mark.parametrize("argv, job", [
     (("count-zeros",), _zeros_job(1)),          # vp would loop forever
     (("count-zeros",), _zeros_job(0)),          # vp would divide by zero
@@ -131,20 +152,21 @@ def _zeros_job(p):
     (("graph-check",), {"vertices": [{"m": 1.9, "pa": 2, "w": 2}], "edges": []}),
     # bool() would read "false" as true
     (("count-zeros",), dict(_zeros_job(3), include_lo="false")),
+    # a p-adic term is known only mod p^prec, and the oracle needs exact terms
+    (("verify-zeros",), dict(_zeros_job(3), terms={
+        "0": {"val": "1", "unit": "-1", "prec": "20"}, "1": "1"})),
+    # the root finder's cost grows faster than the size of p^precision
+    (("decompose",), {"p": 3, "f": QUINTIC, "precision": 100000}),
+    (("decompose",), {"p": 65521, "f": QUINTIC, "precision": 10000}),
 ], ids=["p=1", "p=0", "p-semiprime", "zero-denominator", "p-not-prime",
         "q-not-power-of-p", "p-float", "p-float-string", "p-bool",
         "prec-float", "N-float", "curve-p-float", "curve-precision-string",
         "annulus-index-float", "decompose-huge-p", "coefficient-exponent",
         "curve-f-exponent", "matrix-not-ultrametric", "graph-m-float",
-        "include-lo-string"])
+        "include-lo-string", "verify-zeros-padic-term",
+        "decompose-huge-precision", "decompose-huge-precision-large-p"])
 def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
-    if job is not None:
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        argv = argv + (str(path),)
-    env = dict(os.environ, PYTHONPATH=str(Path(padicann.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "padicann.cli", *argv],
-                          capture_output=True, text=True, timeout=10, env=env)
+    proc = _run_cli(tmp_path, argv, job)
     assert proc.returncode == 1, proc.stderr
     error = json.loads(proc.stderr)["error"]
     assert error["type"] in {"ValueError", "ZeroDivisionError", "UnsupportedRegime"}
@@ -152,12 +174,7 @@ def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
 
 def test_large_prime_answers_quickly(tmp_path):
     # the primality check on p must not scale with sqrt(p)
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(_zeros_job(10**18 + 3)))
-    env = dict(os.environ, PYTHONPATH=str(Path(padicann.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "padicann.cli", "count-zeros",
-                           str(path)],
-                          capture_output=True, text=True, timeout=10, env=env)
+    proc = _run_cli(tmp_path, ("count-zeros",), _zeros_job(10**18 + 3))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 0
 
@@ -165,12 +182,17 @@ def test_large_prime_answers_quickly(tmp_path):
 def test_verify_zeros_wide_window_returns_quickly(tmp_path):
     # the oracle visits only the valuations where two terms tie, not
     # every integer of the window
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(dict(_zeros_job(3), window=["-1000000", "3"])))
-    env = dict(os.environ, PYTHONPATH=str(Path(padicann.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "padicann.cli", "verify-zeros",
-                           str(path)],
-                          capture_output=True, text=True, timeout=10, env=env)
+    proc = _run_cli(tmp_path, ("verify-zeros",),
+                    dict(_zeros_job(3), window=["-1000000", "3"]))
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["oracle_count"] == rep["newton_count"] == 1
+
+
+def test_verify_zeros_huge_prec_returns_quickly(tmp_path):
+    # the oracle descends on the exact terms -3 and 1, not on their
+    # residues mod 3^1000000
+    proc = _run_cli(tmp_path, ("verify-zeros",), dict(_zeros_job(3), prec=1000000))
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["oracle_count"] == rep["newton_count"] == 1
@@ -345,6 +367,19 @@ def test_verify_zeros_match_and_legitimate_mismatch(capsys, tmp_path):
     assert rep["match"] is False
 
 
+def test_verify_zeros_refuses_a_double_root(capsys, tmp_path):
+    # (x - 1)^2: the oracle reads the exact terms, not 1 + (3^20 - 2)x + x^2,
+    # which has no root in Q_3
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "p": 3, "terms": {"0": "1", "1": "-2", "2": "1"}, "window": ["-1", "1"],
+        "N": 30,
+    }))
+    code, out, err = run(capsys, "verify-zeros", str(job))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "CertificationFailed"
+
+
 def _fake_results(all_ok):
     rows = [
         CriterionResult(1, "first", True, "fine", 0.01, 1.0),
@@ -371,3 +406,95 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
     code, text, _ = run(capsys, "selftest")
     assert code == 1
     assert "criterion  2: FAIL" in text
+
+
+# ---------------------------------------------------------------------------
+# generated malformed input
+# ---------------------------------------------------------------------------
+
+_BAD = {
+    "int": [3.7, "3.7", True, None, [], {}, "1e9", "x", "0x10"],
+    "rational": [True, None, [], "abc", "1e9", "1/0", "", "2**3", "0.5.1"],
+}
+_BAD["p"] = _BAD["int"] + [0, 1, 4, 9, -3, 1 << 16, 10**30]
+_BAD["precision"] = _BAD["int"] + [10**5, 10**9]
+
+_CURVE = {"p": 3, "f": QUINTIC, "precision": 20}
+_CURVE_FIELDS = [(("p",), "p"), (("precision",), "precision")] + \
+    [(("f", i), "rational") for i in range(len(QUINTIC))]
+_ZEROS_FIELDS = [(("p",), "p"), (("prec",), "int"), (("terms", "0"), "rational"),
+                 (("terms", "1"), "rational"), (("window", 0), "rational"),
+                 (("window", 1), "rational")]
+
+# subcommand: (a valid job, the fields a fuzzed job breaks, its required keys)
+_FUZZ_JOBS = {
+    "count-zeros": (_zeros_job(3), _ZEROS_FIELDS, ("p", "terms", "window")),
+    "verify-zeros": (dict(_zeros_job(3), N=6), _ZEROS_FIELDS + [(("N",), "int")],
+                     ("p", "terms", "window")),
+    "decompose": (_CURVE, _CURVE_FIELDS, ("p", "f")),
+    "verify-cover": (_CURVE, _CURVE_FIELDS, ("p", "f")),
+    "pullback": ({"curve": _CURVE, "annulus_index": 0, "u_tilde": ["1"]},
+                 [(("curve",) + path, kind) for path, kind in _CURVE_FIELDS]
+                 + [(("annulus_index",), "int"), (("u_tilde", 0), "rational")],
+                 ("curve", "annulus_index", "u_tilde")),
+}
+
+
+def _assert_quick_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2, argv
+    assert code == 1 and out.getvalue() == "", argv
+    error = json.loads(err.getvalue())["error"]
+    assert error["type"] and error["message"]
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_JOBS))
+def test_fuzz_base_jobs_are_valid(capsys, tmp_path, command):
+    # so each fuzzed job below fails by its one malformed part
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_FUZZ_JOBS[command][0]))
+    run_json(capsys, command, str(path))
+
+
+@st.composite
+def malformed_jobs(draw):
+    """(subcommand, job file text): a valid job with one part broken."""
+    command = draw(st.sampled_from(sorted(_FUZZ_JOBS)))
+    base, fields, required = _FUZZ_JOBS[command]
+    job = copy.deepcopy(base)
+    how = draw(st.sampled_from(("field", "drop", "shape")))
+    if how == "shape":
+        return command, draw(st.sampled_from(
+            ("[1, 2]", '"job"', "null", "3", "{", "", "{'p': 3}")))
+    if how == "drop":
+        del job[draw(st.sampled_from(required))]
+    else:
+        path, kind = draw(st.sampled_from(fields))
+        target = job
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = draw(st.sampled_from(_BAD[kind]))
+    return command, json.dumps(job)
+
+
+@given(malformed_jobs())
+@example(("decompose", json.dumps(dict(_CURVE, precision=10**5))))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_jobs_are_quick_json_errors(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(text)
+        _assert_quick_json_error([command, str(path)])
+
+
+@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 8),
+       st.sampled_from(("abc", "1e9", "1/0", "", "2**3", "0.5.1", "true", "nan")))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_coefficient_lists_are_quick_json_errors(coeffs, at, bad):
+    tokens = [str(c) for c in coeffs]
+    tokens.insert(at, bad)
+    _assert_quick_json_error(["search-points", "--height", "3", "--", ",".join(tokens)])

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from padicann.errors import (
-    BoundViolated,
     Disconnected,
     NonIntegralGenus,
     NothingToRewrite,
@@ -216,13 +215,6 @@ def test_hub_bound_is_tight_with_proxy():
     assert report["u"] == 1
     assert report["a1_outside_chains"] == 3
     assert report["a1_bound"] == 3
-
-
-def test_supplied_u_can_fail():
-    with pytest.raises(BoundViolated):
-        check_specialfiber_bounds(hub_fixture(), u_input=0)
-    report = check_specialfiber_bounds(hub_fixture(), u_input=1)
-    assert report["u_source"] == "input"
 
 
 def test_extremal_low_genus_all_tight():

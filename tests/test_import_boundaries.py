@@ -7,6 +7,9 @@ so the list cannot go stale.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import padicann
@@ -43,10 +46,32 @@ def test_no_private_cross_module_imports():
 
 
 def test_oracle_takes_only_the_audited_types_from_curves():
-    # the oracle checks the decomposition and must not borrow its machinery
-    taken = {name for src, mod, name in package_imports()
-             if (src, mod) == ("oracle", "curves")}
-    assert taken == {"Decomposition", "HyperellipticCurve"}
+    # the oracle checks the decomposition and the Newton counts and must not
+    # borrow their machinery: at run time it reads errors, intpoly and
+    # scanner only; the audited types are named for type checkers alone
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    runtime, typing_only = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and _source_module(node):
+            runtime |= {_source_module(node)}
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            typing_only |= {(_source_module(n), a.name) for n in node.body
+                            for a in n.names}
+    assert runtime == {"errors", "intpoly", "scanner"}
+    assert typing_only == {("curves", "Decomposition"), ("curves", "HyperellipticCurve")}
+    taken = {mod for src, mod, _ in package_imports() if src == "oracle"}
+    assert taken == runtime | {"curves"}
+
+
+def test_importing_the_oracle_loads_neither_curves_nor_series():
+    code = ("import sys, padicann.oracle; "
+            "print(sorted(m for m in sys.modules if m.startswith('padicann.')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "padicann.oracle" in loaded
+    assert not loaded & {"padicann.curves", "padicann.series"}
 
 
 def test_bounds_owns_the_regime_and_its_corrections():

@@ -17,6 +17,7 @@ from padicann.oracle import (
     search_rational_points,
     verify_decomposition_cover,
 )
+from padicann.padic import PAdic
 from padicann.scanner import SCAN_MODULI, scan_candidates
 from padicann.series import LaurentPoly, count_zeros_valuation_range
 
@@ -254,20 +255,16 @@ def test_enumerate_double_root_refuses():
 
 
 def test_enumerate_accepts_laurent_and_dict():
-    L = LaurentPoly.from_coeff_list(3, [-3, 1])
-    assert enumerate_padic_zeros(L, 3, (0, 2), 6) == 1
+    assert enumerate_padic_zeros({0: -3, 1: 1}, 3, (0, 2), 6) == 1
     assert enumerate_padic_zeros({0: "-3", 1: "1"}, 3, (0, 2), 6) == 1
     # multiplying by z^-1 moves nothing at finite nonzero valuation
-    shifted = LaurentPoly(3, {-1: -3, 0: 1})
-    assert enumerate_padic_zeros(shifted, 3, (0, 2), 6) == 1
+    assert enumerate_padic_zeros({-1: -3, 0: 1}, 3, (0, 2), 6) == 1
 
 
 def test_enumerate_rejects_inexact_and_zero():
-    from padicann.padic import PAdic
-
-    bounded = LaurentPoly(3, {0: PAdic.inexact_zero(3, 5), 1: 1})
-    with pytest.raises(ValueError):
-        enumerate_padic_zeros(bounded, 3, (0, 2), 6)
+    # a p-adic coefficient is known only mod p^prec: not read as a rational
+    with pytest.raises(TypeError):
+        enumerate_padic_zeros({0: PAdic.from_rational(-3, 3, 20), 1: 1}, 3, (0, 2), 6)
     with pytest.raises(ValueError):
         enumerate_padic_zeros({}, 3, (0, 2), 6)
     with pytest.raises(ValueError):
@@ -428,6 +425,22 @@ def test_cover_duplicated_disk_is_double(octic):
     broken = dataclasses.replace(dec, disks=list(dec.disks) + [free])
     with pytest.raises(DoubleCover):
         verify_decomposition_cover(curve, broken, 4)
+
+
+@pytest.mark.parametrize("edit, error", [("move-depths", DoubleCover),
+                                         ("drop-annulus", CoverageGap)])
+def test_cover_reads_the_published_annuli(deep_octic, edit, error):
+    # the audit reads the regions a decomposition publishes, not its
+    # cluster tree, so an edited annulus list is caught
+    curve, dec = deep_octic
+    annuli = list(dec.annuli)
+    if edit == "move-depths":
+        # the shell (0, 3) also takes v(x) = 2, inside the child's disks
+        annuli[2] = dataclasses.replace(annuli[2], depths=(Fraction(0), Fraction(3)))
+    else:
+        annuli.pop(2)  # v(x) = 1, i.e. x = 3, 6 mod 9, left uncovered
+    with pytest.raises(error):
+        verify_decomposition_cover(curve, dataclasses.replace(dec, annuli=annuli), 4)
 
 
 def test_cover_needs_enough_depth(octic):
