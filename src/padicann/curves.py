@@ -30,6 +30,7 @@ from .intpoly import (
     as_int,
     as_rational,
     clear_denominators,
+    is_prime,
     poly_derivative,
     poly_eval,
     squarefree_coefficients,
@@ -571,6 +572,8 @@ def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition
         raise UnsupportedRegime(
             f"p = {curve.p} is too large: the decomposition has one disk per "
             f"free residue class, so p must be below {_MAX_DECOMPOSE_P}")
+    if not is_prime(curve.p):
+        raise ValueError(f"p = {curve.p} is not prime")
     if curve.precision * curve.p.bit_length() > _MAX_DECOMPOSE_BITS:
         raise UnsupportedRegime(
             f"precision {curve.precision} is too large at p = {curve.p}: "

@@ -14,13 +14,19 @@ denominators, valuations).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import CertificationFailed, CoverageGap, DoubleCover
-from .intpoly import clear_denominators, squarefree_coefficients, vp
+from .intpoly import (
+    clear_denominators,
+    common_denominator,
+    squarefree_coefficients,
+    vp,
+)
 from .scanner import scan_candidates
 
 if TYPE_CHECKING:
@@ -67,11 +73,11 @@ def search_rational_points(f, height: int) -> SearchResult:
         raise ValueError("height must be >= 1")
 
     n = len(coeffs) - 1
-    den = math.lcm(*(c.denominator for c in coeffs))
+    den = common_denominator(coeffs)
     # y^2 = f(x) and (den*y)^2 = (den^2 f)(x) have the same points, and the
     # scaled coefficients are integers.  Content is *not* divided out: that
     # would change the square class.
-    ints = [int(c * den * den) for c in coeffs]
+    ints = [c.numerator * (den // c.denominator) * den for c in coeffs]
 
     points = set()
     for a, b in scan_candidates(ints, height):
@@ -225,9 +231,12 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
     published disk region {v(x - anchor) > level} and each published
     annulus's x-shell {d_lo < v(x - center) < d_hi}, (d_lo, d_hi) its
     ``depths``, where need is the deepest level + 1 or d_hi, so each
-    membership is decided mod p^need.  Weierstrass annuli lie inside their
-    disk region and are skipped.  The region at infinity covers v(x) < 0
-    and is outside the enumeration.
+    membership is decided mod p^need.  Disks are grouped by level: a class
+    x lies in as many disks of level l as have an anchor congruent to x
+    mod p^(l + 1), so each class costs one lookup per level, however many
+    disks there are.  Weierstrass annuli lie inside their disk region and
+    are skipped.  The region at infinity covers v(x) < 0 and is outside
+    the enumeration.
 
     N defaults to need.  A larger N changes only the counts: each class mod
     p^need stands for p^(N - need) classes mod p^N that hit the same regions,
@@ -240,13 +249,17 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
         raise ValueError("decomposition carries no disk regions to audit")
     p = curve.p
 
-    disks = []
+    # p^(level + 1) -> {anchor mod p^(level + 1): number of disks}
+    anchors_by_modulus: Dict[int, Counter] = {}
+    disk_regions = 0
     need = 1
-    for i, r in enumerate(decomposition.disks):
+    for r in decomposition.disks:
         if r.kind == "infinity":
             continue
         level = int(r.level)
-        disks.append((i, r.anchor, p ** (level + 1)))
+        q = p ** (level + 1)
+        anchors_by_modulus.setdefault(q, Counter())[r.anchor % q] += 1
+        disk_regions += 1
         need = max(need, level + 1)
 
     shells = []
@@ -268,9 +281,8 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
     doubles: List[int] = []
     for x in range(p**need):
         hits = 0
-        for _, anchor, q in disks:
-            if (x - anchor) % q == 0:
-                hits += 1
+        for q, anchors in anchors_by_modulus.items():
+            hits += anchors.get(x % q, 0)
         for idx, anchor, d_lo, d_hi in shells:
             v = vp(x - anchor, p, need)
             if d_lo < v < d_hi:
@@ -293,7 +305,7 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
         "p": p,
         "modulus_exponent": N,
         "classes": modulus,
-        "disk_regions": len(disks),
+        "disk_regions": disk_regions,
         "shells": len(shells),
         "shell_classes": shell_classes,
         "infinity_excluded": True,

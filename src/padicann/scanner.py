@@ -29,15 +29,21 @@ import numpy as np
 
 SCAN_MODULI = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
-# cells (bits) per gathered block of b-rows; bounds the sieve's scratch
+# cells (bits) per ANDed block of b-rows; bounds the AND stage's scratch
 # memory at 2 * _BLOCK_CELLS / 8 bytes, whatever the number of primes
 _BLOCK_CELLS = 1 << 20
+
+# cells (bools, one byte each) per gathered block of bank columns: all
+# the bank's rows over a run of 64-cell words, packed in one call; bounds
+# that bool array at 256 KB
+_GATHER_CELLS = 1 << 18
 
 # the scan's bank holds p rows per prime p, one per residue of b; the
 # primes and the row where each one's rows start, as columns to broadcast
 # against a block of b values
 _MODULI_COLUMN = np.array(SCAN_MODULI, dtype=np.int64)[:, None]
 _STARTS_COLUMN = np.cumsum((0,) + SCAN_MODULI[:-1])[:, None]
+_BANK_ROWS = sum(SCAN_MODULI)
 
 # The residues of every prime, concatenated: f is evaluated at _RESIDUES
 # modulo _PRIME_OF, and _IS_SQUARE[_OFFSET_OF + v] tells whether v is a
@@ -82,6 +88,29 @@ def _tables(coeffs):
     return [square[idx] for idx in _QUOTIENT_INDEX]
 
 
+def _bank(coeffs, height, words):
+    """The packed bank: row (prime, b mod p), bit a + height -> G(a, b) mod p
+    is a square; the padding bits past a = height are 0.
+
+    The rows are gathered a block of words at a time into one bool array,
+    which is packed once into the bank.
+    """
+    tables = _tables(coeffs)
+    bank = np.empty((_BANK_ROWS, 8 * words), dtype=np.uint8)
+    step = max(1, _GATHER_CELLS // (64 * _BANK_ROWS))
+    cells = np.empty((_BANK_ROWS, 64 * min(step, words)), dtype=bool)
+    for w0 in range(0, words, step):
+        w1 = min(w0 + step, words)
+        block = cells[:, :64 * (w1 - w0)]
+        a = np.arange(64 * w0 - height, 64 * w1 - height, dtype=np.int64)
+        for table, residues, start, p in zip(tables, a % _MODULI_COLUMN,
+                                             _OFFSETS.tolist(), SCAN_MODULI):
+            table.take(residues, axis=1, out=block[start:start + p])
+        block[:, 2 * height + 1 - 64 * w0:] = False
+        bank[:, 8 * w0:8 * w1] = np.packbits(block, axis=1)
+    return bank.view(np.uint64)
+
+
 def scan_candidates(coeffs, height):
     """Return [(a, b), ...] passing all modular square filters.
 
@@ -92,17 +121,8 @@ def scan_candidates(coeffs, height):
     """
     if not coeffs or height < 1:
         return []
-    width = 2 * height + 1
-    words = -(-width // 64)
-    a_all = np.arange(-height, height + 1, dtype=np.int64)
-    # one bank row per (prime, b mod p), its a-axis packed 64 cells to a
-    # word; the padding bits past a = height stay 0
-    packed = np.concatenate(
-        [np.packbits(table[:, a_all % p], axis=1)
-         for p, table in zip(SCAN_MODULI, _tables(coeffs))])
-    bank = np.zeros((packed.shape[0], 8 * words), dtype=np.uint8)
-    bank[:, :packed.shape[1]] = packed
-    bank = bank.view(np.uint64)
+    words = -(-(2 * height + 1) // 64)
+    bank = _bank(coeffs, height, words)
 
     block = max(1, _BLOCK_CELLS // (64 * words))
     out = []

@@ -19,9 +19,14 @@ from .errors import (
     AllCoefficientsIndistinguishableFromZero,
     OutsideDomain,
     ProvisionalPolygon,
+    UnsupportedRegime,
 )
 from .intpoly import as_int, as_rational
 from .padic import DEFAULT_PRECISION, PAdic
+
+
+# every coefficient is a residue mod p^prec, so that size is bounded
+_MAX_PREC_BITS = 1 << 21
 
 
 class LaurentPoly:
@@ -32,6 +37,10 @@ class LaurentPoly:
 
         Exact zeros are dropped; inexact zeros are kept as precision bounds.
         """
+        if prec * p.bit_length() > _MAX_PREC_BITS:
+            raise UnsupportedRegime(
+                f"prec {prec} is too large at p = {p}: residues mod p^prec "
+                f"must fit in {_MAX_PREC_BITS} bits")
         self.p = p
         self.prec = prec
         coeffs = {}

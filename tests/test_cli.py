@@ -158,18 +158,41 @@ def _run_cli(tmp_path, argv, job=None):
     # the root finder's cost grows faster than the size of p^precision
     (("decompose",), {"p": 3, "f": QUINTIC, "precision": 100000}),
     (("decompose",), {"p": 65521, "f": QUINTIC, "precision": 10000}),
+    # residues mod 3^prec: 18 s at 10^7, killed at 10^8
+    (("count-zeros",), dict(_zeros_job(3), prec=10**7)),
+    (("count-zeros",), dict(_zeros_job(3), prec=10**8)),
 ], ids=["p=1", "p=0", "p-semiprime", "zero-denominator", "p-not-prime",
         "q-not-power-of-p", "p-float", "p-float-string", "p-bool",
         "prec-float", "N-float", "curve-p-float", "curve-precision-string",
         "annulus-index-float", "decompose-huge-p", "coefficient-exponent",
         "curve-f-exponent", "matrix-not-ultrametric", "graph-m-float",
         "include-lo-string", "verify-zeros-padic-term",
-        "decompose-huge-precision", "decompose-huge-precision-large-p"])
+        "decompose-huge-precision", "decompose-huge-precision-large-p",
+        "count-zeros-huge-prec", "count-zeros-huger-prec"])
 def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
     proc = _run_cli(tmp_path, argv, job)
     assert proc.returncode == 1, proc.stderr
     error = json.loads(proc.stderr)["error"]
     assert error["type"] in {"ValueError", "ZeroDivisionError", "UnsupportedRegime"}
+
+
+@pytest.mark.parametrize("p", [4, 15])
+def test_decompose_says_p_is_not_prime(tmp_path, p):
+    # a composite p used to fail inside the root finder, on a modular inverse
+    proc = _run_cli(tmp_path, ("decompose",), {"p": p, "f": QUINTIC, "precision": 10})
+    assert json.loads(proc.stderr)["error"] == {
+        "type": "ValueError", "message": f"p = {p} is not prime"}
+
+
+def test_verify_cover_at_a_large_prime_answers_quickly(tmp_path):
+    # about p free disks: the audit looks each class up by its residue
+    # mod p^(level + 1), not against every disk
+    start = time.perf_counter()
+    proc = _run_cli(tmp_path, ("verify-cover",), {"p": 10007, "f": QUINTIC, "precision": 10})
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["ok"] and rep["classes"] == 10007
 
 
 def test_large_prime_answers_quickly(tmp_path):

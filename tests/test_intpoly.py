@@ -141,6 +141,75 @@ def test_poly_gcd_degree_finds_repeated_factor():
     assert poly_gcd_degree(sqfree, poly_derivative(sqfree)) == 0
 
 
+def _fraction_gcd_degree(a, b):
+    """Reference: Euclid on Fraction coefficients, one leading term at a time."""
+    def strip(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = strip([Fraction(c) for c in a]), strip([Fraction(c) for c in b])
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = strip([c - q * b[i - shift] if i >= shift else c
+                       for i, c in enumerate(a[:-1])])
+        a, b = b, a
+    return len(a) - 1
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+polys = st.lists(fractions, max_size=9)
+
+
+@st.composite
+def gcd_cases(draw):
+    """(a, b): rational polynomials, often sharing a factor; or f and f'
+    for f with a planted squared factor."""
+    kind = draw(st.sampled_from(("random", "common", "squared")))
+    if kind == "random":
+        return draw(polys), draw(polys)
+    h = draw(st.lists(fractions, min_size=2, max_size=4).filter(lambda c: c[-1]))
+    if kind == "common":
+        return _poly_mul(draw(polys.filter(any)), h), _poly_mul(draw(polys.filter(any)), h)
+    f = _poly_mul(_poly_mul(h, h), draw(polys.filter(any)))
+    return f, poly_derivative(f)
+
+
+@given(gcd_cases(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_degree_matches_fraction_euclid(case, negate):
+    a, b = case
+    if negate:  # a negative leading coefficient
+        a = [-c for c in a]
+    expected = _fraction_gcd_degree(a, b)
+    assert poly_gcd_degree(a, b) == expected
+    assert poly_gcd_degree(b, a) == expected
+    # ints, where the coefficients are integers, give the same degree
+    assert poly_gcd_degree(clear_denominators(a), b) == expected
+
+
+@pytest.mark.parametrize("a, b, degree", [
+    ([], [], -1),
+    ([0, 0], [0], -1),
+    ([], [Fraction(-3, 2), 0, 1], 2),
+    ([5], [], 0),
+    ([5], [0, 0, 7], 0),
+    ([-2], [3], 0),
+    ([Fraction(1, 2), 1], [-1, -2], 1),  # proportional
+    ([-1, 0, -1], [0, -2], 0),           # -(x^2 + 1) and its derivative
+])
+def test_poly_gcd_degree_zero_and_constant_inputs(a, b, degree):
+    assert poly_gcd_degree(a, b) == degree == _fraction_gcd_degree(a, b)
+
+
 def test_poly_derivative():
     assert poly_derivative([5, 3, 0, 2]) == [3, 0, 6]
     assert poly_derivative([7]) == []

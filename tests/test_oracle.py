@@ -3,6 +3,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,54 @@ def test_kernel_parity_on_every_prime_row_across_blocks(monkeypatch):
     assert scan_candidates(coeffs, h) == _exact_filter(coeffs, h)
 
 
+def _residue_filter(coeffs, h):
+    """Every (a, b), b-major, kept by the per-prime tables "G(a, b) mod p
+    is a square", read at (b mod p, a mod p) and ANDed over the primes."""
+    n = len(coeffs) - 1
+    a = np.arange(-h, h + 1)
+    b = np.arange(1, h + 1)
+    keep = np.ones((h, 2 * h + 1), dtype=bool)
+    for p in SCAN_MODULI:
+        r = np.arange(p)
+        powers = [np.ones(p, dtype=np.int64)]
+        for _ in range(2 * n):
+            powers.append(powers[-1] * r % p)
+        # [b, a] -> G(a, b) = sum_i c_i a^i b^(2n - i) mod p
+        g = sum(c % p * powers[2 * n - i][:, None] * powers[i][None, :] % p
+                for i, c in enumerate(coeffs)) % p
+        is_square = np.zeros(p, dtype=bool)
+        is_square[r * r % p] = True
+        keep &= is_square[g][:, a % p][b % p]
+    rows, cols = np.nonzero(keep)
+    return list(zip((cols - h).tolist(), (rows + 1).tolist()))
+
+
+# word edges (64 cells of a to a word) and gather-block edges (the bank
+# is gathered 512 cells of a at a time)
+EDGE_HEIGHTS = (31, 32, 63, 64, 65, 255, 256, 257)
+
+
+@pytest.mark.parametrize("h", EDGE_HEIGHTS)
+@given(coeffs=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12))
+@settings(max_examples=8, deadline=None)
+def test_kernel_matches_residue_filter_at_block_edges(h, coeffs):
+    assert scan_candidates(coeffs, h) == _residue_filter(coeffs, h)
+
+
+# a height of many gather blocks, on curves whose survivors are few (a
+# polynomial such as 0 or x^2 keeps all 8.8 million pairs)
+@pytest.mark.parametrize("coeffs", [c for c in SCAN_INPUTS if len(c) > 2])
+def test_kernel_matches_residue_filter_over_many_blocks(coeffs):
+    assert scan_candidates(coeffs, 2100) == _residue_filter(coeffs, 2100)
+
+
+def test_kernel_parity_across_gather_blocks(monkeypatch):
+    # one word of every bank row gathered and packed per block
+    monkeypatch.setattr(scanner, "_GATHER_CELLS", 1)
+    coeffs = [3, -2, 0, 1, 0, 5]
+    assert scan_candidates(coeffs, 300) == _residue_filter(coeffs, 300)
+
+
 @pytest.mark.parametrize("height, survivors", [(2000, 4263), (10**4, 27306)])
 def test_kernel_strength_on_the_septic(height, survivors):
     # pins how many pairs the sieve keeps on y^2 = x^7 + 1: dropping or
@@ -195,6 +244,37 @@ def test_search_matches_naive_enumeration():
     coeffs = [Fraction(1, 4), 0, 0, 0, 0, 1]
     r = search_rational_points(coeffs, 12)
     assert set(r.affine) == _naive_points(coeffs, 12)
+
+
+@st.composite
+def planted_curves(draw):
+    """(f, h, x0): f non-monic (c_n = +-12 or +-18) or with rational
+    coefficients, c_0 chosen so that x0 = a/b is a point of y^2 = f(x)."""
+    deg = draw(st.integers(1, 7))
+    rational = draw(st.booleans())
+    small = (st.fractions(min_value=-4, max_value=4, max_denominator=6)
+             if rational else st.integers(-4, 4))
+    f = [Fraction(c) for c in draw(st.lists(small, min_size=deg, max_size=deg))]
+    f.append(Fraction(draw(st.sampled_from((12, 18, -12, -18)))))
+    if rational:
+        f[-1] /= draw(st.sampled_from((1, 2, 3, 5)))
+    h = draw(st.integers(1, 10))
+    x0 = Fraction(draw(st.integers(-h, h)), draw(st.integers(1, h)))
+    y0 = draw(st.fractions(min_value=0, max_value=20, max_denominator=9))
+    f[0] += y0 * y0 - sum(c * x0**i for i, c in enumerate(f))
+    return f, h, x0
+
+
+@given(planted_curves())
+@settings(max_examples=60, deadline=None)
+def test_search_non_monic_and_rational_match_exhaustive_search(case):
+    f, h, x0 = case
+    try:
+        r = search_rational_points(f, h)
+    except ValueError:
+        assume(False)  # not squarefree
+    assert set(r.affine) == _naive_points(f, h)
+    assert x0 in {x for x, _ in r.affine}
 
 
 def test_search_degree_16():

@@ -25,6 +25,20 @@ def L(p, terms):
     return LaurentPoly(p, terms)
 
 
+@pytest.mark.parametrize("p, prec, ok", [
+    (3, 2**20, True),              # 3 has 2 bits: 2^21 bits, at the bound
+    (3, 2**20 + 1, False),
+    (10007, 2**21 // 14, True),    # 10007 has 14 bits
+    (10007, 2**21 // 14 + 1, False),
+])
+def test_laurent_poly_bounds_the_size_of_p_to_the_prec(p, prec, ok):
+    if ok:
+        assert LaurentPoly(p, {0: 1}, prec).prec == prec
+    else:
+        with pytest.raises(UnsupportedRegime, match="too large"):
+            LaurentPoly(p, {0: 1}, prec)
+
+
 class TestNewtonPolygon:
     def test_two_flat_terms(self):
         # t^-1 + t: both zeros have valuation 0
