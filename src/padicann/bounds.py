@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from .errors import RankOutOfRange, RankTooLarge, UnsupportedRegime
 from .intpoly import is_prime, vp
@@ -167,19 +167,12 @@ def n_local_by_maximization(p: int, e: int, q: int, g: int, r: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Unevaluated:
-    """Placeholder for a bound with no closed form at these inputs."""
-
-    note: str
-
-
-def R_rational(d: int, g: int, r: int) -> Union[int, Unevaluated]:
+def R_rational(d: int, g: int, r: int) -> int:
     """Uniform bound on rational points over a degree-d number field.
 
     Only d = 1 has a closed form: 8(r+4)(g-1) + max{1, 4r}g.  For d > 1 the
-    bound is a maximum of local bounds over finitely many completions and is
-    returned as an Unevaluated marker carrying the growth envelope.
+    bound is a maximum of local bounds over finitely many completions, which
+    is not evaluated: UnsupportedRegime.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -189,14 +182,9 @@ def R_rational(d: int, g: int, r: int) -> Union[int, Unevaluated]:
         raise ValueError("need r >= 0")
     if r > g - 3:
         raise RankTooLarge(f"need r <= g - 3, got r = {r}, g = {g}")
-    if d == 1:
-        return 8 * (r + 4) * (g - 1) + max(1, 4 * r) * g
-    return Unevaluated(
-        note=(
-            "no closed form for d > 1; the bound grows like "
-            "g * (p^d + d(r+1)) with p the smallest prime above d + 1"
-        )
-    )
+    if d > 1:
+        raise UnsupportedRegime(f"no closed form for d = {d} > 1")
+    return 8 * (r + 4) * (g - 1) + max(1, 4 * r) * g
 
 
 def torsion_bound(g: int) -> int:
@@ -286,7 +274,7 @@ class BoundReport:
     B_A_r_plus_2: Optional[int]
     N_local: Optional[int]
     N_local_majorants: Optional[tuple]
-    R_rational: Optional[Union[int, Unevaluated]]
+    R_rational: Optional[int]
     torsion_bound: Optional[int]
     improved_bound: Optional[int]
     rholog: RhoLogBounds
@@ -297,8 +285,6 @@ class BoundReport:
         def enc(x):
             if isinstance(x, Fraction):
                 return {"numerator": x.numerator, "denominator": x.denominator}
-            if isinstance(x, Unevaluated):
-                return {"unevaluated": x.note}
             return x
 
         return {
@@ -351,7 +337,8 @@ def bound_report(
         N_local_majorants=(
             n_local_majorants(p, e, q, g, r) if rank_ok and p % 2 else None
         ),
-        R_rational=R_rational(d, g, r) if rank_ok else None,
+        # no closed form over a field of degree d > 1
+        R_rational=R_rational(d, g, r) if rank_ok and d <= 1 else None,
         torsion_bound=torsion_bound(g) if g >= 3 else None,
         improved_bound=improved_bound(g, r) if 1 <= r <= g - 3 else None,
         rholog=rholog_bounds(g),

@@ -101,11 +101,7 @@ def _bounds_table(rep) -> str:
     lines.append("")
 
     def scalar(label, v):
-        if v is None:
-            return f"{label:<22}-"
-        if hasattr(v, "note"):
-            return f"{label:<22}unevaluated ({v.note})"
-        return f"{label:<22}{v}"
+        return f"{label:<22}{'-' if v is None else v}"
 
     lines.append(scalar("N_local", rep.N_local))
     lines.append(scalar("R_rational", rep.R_rational))
@@ -190,7 +186,8 @@ def _cmd_integrate(args) -> int:
     job = _read_job(args.job)
     idef = job["integrand"]
     ell = LaurentPoly.from_json(idef["ell"])
-    p, prec = ell.p, ell.prec
+    # rational points and constants are embedded at the integrand's precision
+    p, prec = ell.p, as_int(idef["ell"].get("prec", DEFAULT_PRECISION), "prec")
     xi0 = _padic_in(job["xi0"], "xi0", p, prec)
     xi1 = _padic_in(job["xi1"], "xi1", p, prec)
     mode = job.get("mode", "annulus")

@@ -62,8 +62,9 @@ def _newton_refine(coeffs, deriv, a: int, vd: int, p: int, target: int) -> int:
     return x % p**target
 
 
-def _taylor_shift(coeffs: Sequence[int], a: int) -> List[int]:
-    """f(a), f'(a), f''(a)/2, ...: repeated synthetic division by x - a."""
+def _taylor_shift(coeffs: Sequence, a) -> List:
+    """f(a), f'(a), f''(a)/2, ..., the coefficients of f(a + w): repeated
+    synthetic division by x - a, on integers or on rationals and a PAdic."""
     c = list(coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
@@ -85,16 +86,22 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int,
        i >= 2 term (>= 2k).  Drop if v(f(a)) < k + d; else v(f(a)) > 2d and
        Hensel's lemma puts exactly one root in the class (f is injective
        there), which ``_newton_refine`` lifts.
-    3. d >= k: build every f_i by synthetic division; drop if
-       v(f_0) < min_{i>=1} (v(f_i) + ik), else split into the p children.
+    3. d >= k: build every f_i by synthetic division.  The class holds as
+       many roots in C_p as the last i minimizing v(f_i) + ik: drop it at
+       none, else split it into the p children.
 
-    A kept class lies within p^-k of a root in C_p, so at most deg f stay
-    open per depth; one still kept at depth prec + 1 cannot be separated.
+    A class with one root holds a root in Q_p (its conjugates would sit
+    there too), which case 2 certifies by depth v(f'(root)) + 1, even past
+    depth prec.  Several roots in a class past depth prec, or two roots
+    equal mod p^prec, cannot be separated at this precision.
     """
     deriv = poly_derivative(coeffs)
     roots: List[int] = []
+    tied = 0
     frontier = list(range(p)) if start is None else start
-    for k in range(1, prec + 2):
+    k = 0
+    while frontier:
+        k += 1
         kept = []
         for a in frontier:
             v0 = vp(poly_eval(coeffs, a), p)
@@ -103,23 +110,20 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int,
             d = vp(poly_eval(deriv, a), p)
             if d < k:
                 if v0 >= k + d:
-                    kept.append((a, d))
-            elif v0 >= min(vp(c, p) + i * k
-                           for i, c in enumerate(_taylor_shift(coeffs, a)) if i):
-                kept.append((a, d))
-        if k > prec and kept:
-            raise PrecisionInsufficient(
-                f"{len(kept)} root branch(es) cannot be separated at precision {prec}"
-            )
+                    roots.append(_newton_refine(coeffs, deriv, a, d, p, prec))
+                continue
+            w = [vp(c, p) + i * k for i, c in enumerate(_taylor_shift(coeffs, a))]
+            inside = max(i for i, x in enumerate(w) if x == min(w))
+            if inside > 1 and k > prec:
+                tied += inside
+            elif inside:
+                kept.append(a)
         step = p**k
-        frontier = []
-        for a, d in kept:
-            if d < k:
-                roots.append(_newton_refine(coeffs, deriv, a, d, p, prec))
-            else:
-                frontier.extend(range(a, a + p * step, step))
-    if len(set(roots)) != len(roots):
-        raise PrecisionInsufficient("duplicate certified roots; raise precision")
+        frontier = [b for a in kept for b in range(a, a + p * step, step)]
+    tied += sum(1 for r in roots if roots.count(r) > 1)
+    if tied:
+        raise PrecisionInsufficient(
+            f"{tied} root branch(es) cannot be separated at precision {prec}")
     return sorted(roots)
 
 
@@ -141,10 +145,9 @@ def _qp_roots(coeffs: Sequence[Fraction], p: int, prec: int) -> List[PAdic]:
         else:
             roots.append(PAdic.from_int(a, p, prec))
     rev = ints[::-1]                   # zeros 1/x of f: nonzero leading term
-    one = PAdic.from_int(1, p, prec + 4)
     for b in _zp_roots(rev, p, prec, start=[0]):   # only v(x) < 0: p | b
         if b % p**prec != 0:
-            roots.append(one / PAdic.from_int(b, p, prec))
+            roots.append(1 / PAdic.from_int(b, p, prec))
     if len(roots) != deg:
         raise NonSplitInput(
             f"found {len(roots)} of {deg} roots in Q_p at precision {prec}; "
@@ -622,25 +625,14 @@ def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition
 # ---------------------------------------------------------------------------
 
 
-def _shift_poly(coeffs: List[PAdic], center: PAdic) -> List[PAdic]:
-    """Coefficients of u(center + w) as a polynomial in w."""
-    n = len(coeffs)
-    out = []
-    for k in range(n):
-        acc = None
-        for j in range(k, n):
-            term = coeffs[j] * math.comb(j, k) * center ** (j - k)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
 def pullback_differential(A: AnnulusDescriptor, u_tilde) -> "LaurentData":
     """Laurent part of the pullback of u_tilde(x) dx / (2y) to the annulus.
 
-    u_tilde is given by ascending coefficients of a polynomial of degree at
-    most g-1.  The unit factor of the pullback carries no zeros and is left
-    symbolic; only the Laurent polynomial that controls zero counts returns.
+    u_tilde is given by ascending rational coefficients of a polynomial of
+    degree at most g-1.  They stay exact, so each term of the result is known
+    to the precision of the center, gamma and alpha.  The unit factor of the
+    pullback carries no zeros and is left symbolic; only the Laurent
+    polynomial that controls zero counts returns.
     """
     from .series import LaurentData, LaurentPoly
 
@@ -649,39 +641,36 @@ def pullback_differential(A: AnnulusDescriptor, u_tilde) -> "LaurentData":
     if p is None:
         raise MissingAlpha("annulus descriptor lacks its constants "
                            "(built from a valuation matrix?)")
-    coeffs = [
-        c if isinstance(c, PAdic) else PAdic.from_rational(Fraction(c), p, DEFAULT_PRECISION)
-        for c in u_tilde
-    ]
-    while coeffs and coeffs[-1].is_exact_zero():
+    coeffs = [Fraction(c) for c in u_tilde]
+    while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) - 1 > g - 1:
         raise DegreeTooLarge(f"u~ degree {len(coeffs) - 1} exceeds g-1 = {g - 1}")
     if not coeffs:
         return LaurentData(LaurentPoly(p, {}), A.domain)
 
-    center = A.center if A.center is not None else PAdic.zero(p)
-    shifted = _shift_poly(coeffs, center)
+    if A.center is not None and not A.center.is_exact_zero():
+        coeffs = _taylor_shift(coeffs, A.center)   # u~(center + w) in w
 
     terms = {}
     if A.kind == ODD:
         if A.gamma is None:
             raise MissingAlpha("odd-case pullback needs gamma")
-        for k, b in enumerate(shifted):
+        for k, b in enumerate(coeffs):
             terms[2 * (k - A.nu)] = b * A.gamma ** (k - A.nu)
     elif A.kind == EVEN:
         if A.alpha is None:
             raise MissingAlpha("even-case pullback needs alpha = sqrt(gamma)")
-        inv = PAdic.from_int(1, p, DEFAULT_PRECISION) / (A.alpha * 2)
-        for k, b in enumerate(shifted):
+        inv = 1 / (2 * A.alpha)
+        for k, b in enumerate(coeffs):
             terms[k - A.nu] = b * inv
     elif A.kind == WEIERSTRASS:
         if A.alpha is None:
             raise MissingAlpha("Weierstrass-case pullback needs alpha")
         if A.a_const is None:
             raise MissingAlpha("Weierstrass-case pullback needs the x^2 - a datum")
-        inv = PAdic.from_int(1, p, DEFAULT_PRECISION) / (A.alpha * 2)
-        for k, b in enumerate(shifted):
+        inv = 1 / (2 * A.alpha)
+        for k, b in enumerate(coeffs):
             for i in range(k + 1):
                 e = 2 * i - k - 1
                 term = b * math.comb(k, i) * A.a_const ** (k - i) * inv

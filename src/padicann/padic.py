@@ -4,7 +4,9 @@ An element is stored as ``p^val * unit + O(p^prec)`` where ``unit`` is an
 integer unit residue modulo ``p^(prec - val)``.  ``prec`` is the *absolute*
 precision exponent: the element is known modulo ``p^prec``.  Precision only
 ever shrinks under arithmetic (pessimistic propagation); in particular a
-division by ``p^k`` lowers absolute precision by ``k``.
+division by ``p^k`` lowers absolute precision by ``k``.  A result's precision
+comes from its operands; ``DEFAULT_PRECISION`` serves only where none has
+one: as an input default, and for a constant met by the exact zero.
 
 Two flavours of zero exist:
 
@@ -21,6 +23,11 @@ Example::
     122
     >>> (half + half).unit_residue()
     1
+    >>> (half + half).agrees(1), half + half == 1
+    (True, False)
+    >>> x = PAdic.from_int(3, 3, 40)
+    >>> (x ** -1).prec == (1 / x).prec == 38
+    True
 """
 
 from __future__ import annotations
@@ -59,9 +66,9 @@ class PAdic:
             self._unit = 0
             self._prec = None if prec is None else int(prec)
             return
-        val = int(val)
         if prec is None:
-            prec = val + DEFAULT_PRECISION
+            raise ValueError("a nonzero PAdic needs its absolute precision")
+        val = int(val)
         prec = int(prec)
         rel = prec - val
         if rel < 1:
@@ -106,7 +113,7 @@ class PAdic:
     @classmethod
     def from_rational(cls, q, p: int, prec: int = DEFAULT_PRECISION) -> "PAdic":
         """Embed a rational exactly, truncated at absolute precision ``prec``."""
-        if not isinstance(q, int):
+        if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
         if q == 0:
             return cls.zero(p)
@@ -184,19 +191,18 @@ class PAdic:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
 
     def _coerce(self, other):
-        """Coerce an int/Fraction operand at precision matching ``self``."""
+        """Embed an int/Fraction operand at the relative precision of ``self``:
+        the one place that chooses the precision of a constant."""
         if isinstance(other, PAdic):
             return other
         if isinstance(other, (int, Fraction)):
             if self._val is None:
                 target = self._prec if self._prec is not None else DEFAULT_PRECISION
                 return PAdic.from_rational(other, self.p, target + 1)
-            q = Fraction(other)
-            if q == 0:
+            if other == 0:
                 return PAdic.zero(self.p)
-            v = vp(q, self.p)
-            target = max(self._prec, v + self._prec - self._val)
-            return PAdic.from_rational(q, self.p, target)
+            target = max(self._prec, vp(other, self.p) + self._prec - self._val)
+            return PAdic.from_rational(other, self.p, target)
         return NotImplemented
 
     def __add__(self, other):
@@ -288,7 +294,7 @@ class PAdic:
             return NotImplemented
         if k == 0:
             return PAdic.from_int(1, self.p, int(self.prec) if self._prec is not None else DEFAULT_PRECISION)
-        base = self if k > 0 else PAdic.from_int(1, self.p, DEFAULT_PRECISION) / self
+        base = self if k > 0 else 1 / self
         out = base
         for _ in range(abs(k) - 1):
             out = out * base
@@ -302,8 +308,7 @@ class PAdic:
         return (self - other).is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.agrees(other)
+        """Structural: same digits and precision.  ``agrees`` compares values."""
         if not isinstance(other, PAdic):
             return NotImplemented
         return (

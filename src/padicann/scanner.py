@@ -27,6 +27,8 @@ of the work, pays little for each prime.
 
 import numpy as np
 
+from .errors import UnsupportedRegime
+
 SCAN_MODULI = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 # cells (bits) per ANDed block of b-rows; bounds the AND stage's scratch
@@ -44,6 +46,10 @@ _GATHER_CELLS = 1 << 18
 _MODULI_COLUMN = np.array(SCAN_MODULI, dtype=np.int64)[:, None]
 _STARTS_COLUMN = np.cumsum((0,) + SCAN_MODULI[:-1])[:, None]
 _BANK_ROWS = sum(SCAN_MODULI)
+
+# the bank takes _BANK_ROWS * 8 bytes per 64 values of a; a height whose
+# bank exceeds this (H above 8,607,135) is refused before allocating it
+_MAX_BANK_BYTES = 1 << 30
 
 # The residues of every prime, concatenated: f is evaluated at _RESIDUES
 # modulo _PRIME_OF, and _IS_SQUARE[_OFFSET_OF + v] tells whether v is a
@@ -122,6 +128,10 @@ def scan_candidates(coeffs, height):
     if not coeffs or height < 1:
         return []
     words = -(-(2 * height + 1) // 64)
+    if _BANK_ROWS * 8 * words > _MAX_BANK_BYTES:
+        raise UnsupportedRegime(
+            f"height {height} is too large: the sieve bank would take "
+            f"{_BANK_ROWS * 8 * words} bytes, over {_MAX_BANK_BYTES}")
     bank = _bank(coeffs, height, words)
 
     block = max(1, _BLOCK_CELLS // (64 * words))

@@ -35,14 +35,15 @@ class LaurentPoly:
     def __init__(self, p, terms, prec=DEFAULT_PRECISION):
         """``terms`` maps integer exponents to PAdic/int/Fraction coefficients.
 
-        Exact zeros are dropped; inexact zeros are kept as precision bounds.
+        ``prec`` is the absolute precision at which int/Fraction terms are
+        embedded; PAdic terms keep their own.  Exact zeros are dropped;
+        inexact zeros are kept as precision bounds.
         """
         if prec * p.bit_length() > _MAX_PREC_BITS:
             raise UnsupportedRegime(
                 f"prec {prec} is too large at p = {p}: residues mod p^prec "
                 f"must fit in {_MAX_PREC_BITS} bits")
         self.p = p
-        self.prec = prec
         coeffs = {}
         for n, c in terms.items():
             n = int(n)
@@ -91,10 +92,10 @@ class LaurentPoly:
         out = {}
         for n in set(self.terms) | set(other.terms):
             out[n] = self.coeff(n) + other.coeff(n)
-        return LaurentPoly(self.p, out, self.prec)
+        return LaurentPoly(self.p, out)
 
     def __neg__(self):
-        return LaurentPoly(self.p, {n: -c for n, c in self.terms.items()}, self.prec)
+        return LaurentPoly(self.p, {n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -103,9 +104,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, PAdic):
-            return LaurentPoly(
-                self.p, {n: c * other for n, c in self.terms.items()}, self.prec
-            )
+            return LaurentPoly(self.p, {n: c * other for n, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = {}
@@ -114,14 +113,10 @@ class LaurentPoly:
                 n = n1 + n2
                 prod = c1 * c2
                 out[n] = out[n] + prod if n in out else prod
-        return LaurentPoly(self.p, out, self.prec)
+        return LaurentPoly(self.p, out)
 
     def derivative(self):
-        return LaurentPoly(
-            self.p,
-            {n - 1: c * n for n, c in self.terms.items() if n != 0},
-            self.prec,
-        )
+        return LaurentPoly(self.p, {n - 1: c * n for n, c in self.terms.items() if n != 0})
 
     def evaluate(self, x: PAdic) -> PAdic:
         """Plain evaluation; needs x nonzero if negative exponents occur."""
@@ -296,4 +291,4 @@ def formal_integrate(f: LaurentPoly):
         if n == -1:
             continue
         terms[n + 1] = a / (n + 1)
-    return LaurentPoly(f.p, terms, f.prec), c
+    return LaurentPoly(f.p, terms), c

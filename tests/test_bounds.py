@@ -7,7 +7,6 @@ from padicann.bounds import (
     BoundReport,
     N_local,
     R_rational,
-    Unevaluated,
     annulus_count_bound,
     bound_report,
     density_lower_bound,
@@ -112,9 +111,8 @@ def test_R_rational_examples():
     assert R_rational(1, 10, 3) == 624
     with pytest.raises(RankTooLarge):
         R_rational(1, 3, 1)
-    out = R_rational(2, 5, 0)
-    assert isinstance(out, Unevaluated)
-    assert "closed form" in out.note
+    with pytest.raises(UnsupportedRegime, match="no closed form"):
+        R_rational(2, 5, 0)
 
 
 def test_N_local_at_q3_equals_rational_bound():
@@ -213,6 +211,8 @@ def test_bound_report_low_genus():
 
 
 def test_bound_report_unevaluated_degree():
+    # no closed form for d > 1: the field is None, like any failed precondition
     rep = bound_report(3, 1, 3, 5, 1, d=2)
-    assert isinstance(rep.R_rational, Unevaluated)
-    assert "unevaluated" in rep.to_dict()["R_rational"]
+    assert rep.R_rational is None
+    assert rep.to_dict()["R_rational"] is None
+    assert rep.N_local == bound_report(3, 1, 3, 5, 1).N_local

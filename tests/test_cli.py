@@ -161,6 +161,8 @@ def _run_cli(tmp_path, argv, job=None):
     # residues mod 3^prec: 18 s at 10^7, killed at 10^8
     (("count-zeros",), dict(_zeros_job(3), prec=10**7)),
     (("count-zeros",), dict(_zeros_job(3), prec=10**8)),
+    # a sieve bank of 11.9 GiB; refused before it is allocated
+    (("search-points", "1,0,0,0,0,0,0,1", "--height", "100000000"), None),
 ], ids=["p=1", "p=0", "p-semiprime", "zero-denominator", "p-not-prime",
         "q-not-power-of-p", "p-float", "p-float-string", "p-bool",
         "prec-float", "N-float", "curve-p-float", "curve-precision-string",
@@ -168,7 +170,8 @@ def _run_cli(tmp_path, argv, job=None):
         "curve-f-exponent", "matrix-not-ultrametric", "graph-m-float",
         "include-lo-string", "verify-zeros-padic-term",
         "decompose-huge-precision", "decompose-huge-precision-large-p",
-        "count-zeros-huge-prec", "count-zeros-huger-prec"])
+        "count-zeros-huge-prec", "count-zeros-huger-prec",
+        "search-points-huge-height"])
 def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
     proc = _run_cli(tmp_path, argv, job)
     assert proc.returncode == 1, proc.stderr

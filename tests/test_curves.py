@@ -23,7 +23,7 @@ from padicann.errors import (
     PrecisionInsufficient,
     UnsupportedRegime,
 )
-from padicann.intpoly import vp
+from padicann.intpoly import poly_derivative, poly_eval, vp
 from padicann.oracle import enumerate_padic_zeros
 from padicann.padic import PAdic
 
@@ -130,6 +130,19 @@ def test_depth_cap_is_the_first_digit_that_separates_a_close_pair():
         curve_from_roots(roots, 3, precision=5).roots()
     got = curve_from_roots(roots, 3, precision=6).roots()
     assert sorted(int(r.lift()) for r in got) == roots
+
+
+@pytest.mark.parametrize("far", [2169, 6543])
+def test_a_root_is_certified_past_the_precision_when_it_needs_to_be(far):
+    # far = -18 + 3^7 or -18 + 3^8.  The root finder splits off x and
+    # descends on f / x, whose derivative has valuation 20 or 21 at far, so
+    # Hensel's lemma certifies far only at depth 21 or 22, though every pair
+    # of roots parts by digit 9
+    planted = [-57, -27, -24, -18, 0, 3, 9, 18, 21, 54, far]
+    f_over_x = poly_from_roots(planted, 1)[1:]
+    assert vp(poly_eval(poly_derivative(f_over_x), far), 3) == {2169: 20, 6543: 21}[far]
+    got = curve_from_roots(planted, 3, precision=20).roots()
+    assert all(sum(1 for x in got if x.agrees(r)) == 1 for r in planted)
 
 
 @st.composite
@@ -465,6 +478,21 @@ def test_pullback_supports_stay_in_case_ranges():
         for j in range(g):
             data = pullback_differential(W, [0] * j + [1])
             assert all(-g <= e <= g - 2 for e in data.u.definite_terms())
+
+
+@pytest.mark.parametrize("precision", [30, 40])
+def test_octic_pullbacks_keep_the_curve_precision(precision):
+    # u~ stays exact, so each term is known as well as the center, gamma and alpha
+    dec = decompose(curve_from_roots(OCTIC_ROOTS, 3, precision=precision))
+    checked = 0
+    for A in dec.annuli:
+        if A.kind != ODD and not A.split:
+            continue
+        for j in range(A.genus):
+            for c in pullback_differential(A, [0] * j + [1]).u.terms.values():
+                assert c.prec > 20
+                checked += 1
+    assert checked
 
 
 def test_good_window_frozen_examples():

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from padicann import scanner
 from padicann.curves import HyperellipticCurve, decompose
-from padicann.errors import CertificationFailed, CoverageGap, DoubleCover, NonSplitInput
+from padicann.errors import (
+    CertificationFailed,
+    CoverageGap,
+    DoubleCover,
+    NonSplitInput,
+    UnsupportedRegime,
+)
 from padicann.intpoly import clear_denominators
 from padicann.oracle import (
     _count_at_valuation,
@@ -160,6 +166,16 @@ def test_kernel_parity_across_gather_blocks(monkeypatch):
     monkeypatch.setattr(scanner, "_GATHER_CELLS", 1)
     coeffs = [3, -2, 0, 1, 0, 5]
     assert scan_candidates(coeffs, 300) == _residue_filter(coeffs, 300)
+
+
+@pytest.mark.parametrize("height", [8_607_136, 10**8, 10**30])
+def test_a_height_whose_bank_would_pass_a_gib_is_refused(height):
+    # 499 rows of 8 bytes per 64 values of a: H = 8,607,135 is the largest
+    # height whose bank fits in 2^30 bytes, and no larger one is allocated
+    with pytest.raises(UnsupportedRegime, match="sieve bank"):
+        scan_candidates([1, 0, 0, 0, 0, 0, 0, 1], height)
+    with pytest.raises(UnsupportedRegime, match="sieve bank"):
+        search_rational_points([1, 0, 0, 0, 0, 0, 0, 1], height)
 
 
 @pytest.mark.parametrize("height, survivors", [(2000, 4263), (10**4, 27306)])

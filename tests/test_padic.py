@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicann.errors import (
@@ -19,7 +19,6 @@ from padicann.errors import (
     ZeroArgument,
 )
 from padicann.padic import (
-    DEFAULT_PRECISION,
     PAdic,
     is_square,
     log0,
@@ -105,9 +104,11 @@ def test_from_json_without_known_digits_is_inexact_zero(obj):
     assert x.prec == 5
 
 
-def test_missing_prec_defaults_to_relative_precision():
-    x = PAdic(3, 2, 5, None)
-    assert (x.valuation, x.unit_residue(), x.prec) == (2, 5, 2 + DEFAULT_PRECISION)
+def test_missing_prec_is_refused():
+    # only the exact zero is known to infinite precision
+    with pytest.raises(ValueError, match="needs its absolute precision"):
+        PAdic(3, 2, 5, None)
+    assert PAdic(3, None, 0, None).is_exact_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +441,26 @@ def test_pow():
     assert (x**3).agrees(Q(27, 8))
     assert (x**-2).agrees(Q(4, 9))
     assert (x**0).agrees(1)
+
+
+@given(st.sampled_from((3, 5, 7)), st.integers(5, 60), st.integers(-3, 3),
+       st.integers(1, 10**6), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_negative_power_is_the_reciprocal_of_the_power(p, prec, val, unit, k):
+    # the precision of x ** -k comes from x alone, not from a default
+    assume(unit % p)
+    x = PAdic(p, val, unit, prec)
+    assert x**-k == 1 / x**k
+
+
+@given(st.sampled_from((3, 5, 7)), st.fractions(max_denominator=50),
+       st.integers(-5, 30))
+@example(3, Fraction(5), 10)
+@settings(max_examples=200, deadline=None)
+def test_equal_elements_hash_equal(p, q, prec):
+    assume(q == 0 or prec > vp(q, p))
+    x, y = PAdic.from_rational(q, p, prec), PAdic.from_rational(q, p, prec)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    # an element never equals a rational; agrees compares the value
+    assert x != q and q not in {x}
+    assert x.agrees(q)
