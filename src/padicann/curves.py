@@ -30,6 +30,7 @@ from .intpoly import (
     as_int,
     as_rational,
     clear_denominators,
+    common_denominator,
     is_prime,
     poly_derivative,
     poly_eval,
@@ -64,12 +65,36 @@ def _newton_refine(coeffs, deriv, a: int, vd: int, p: int, target: int) -> int:
 
 def _taylor_shift(coeffs: Sequence, a) -> List:
     """f(a), f'(a), f''(a)/2, ..., the coefficients of f(a + w): repeated
-    synthetic division by x - a, on integers or on rationals and a PAdic."""
+    synthetic division by x - a, on rationals and a PAdic center."""
     c = list(coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += a * c[j + 1]
     return c
+
+
+def _roots_in_class(coeffs: Sequence[int], a: int, p: int, k: int, v0) -> int:
+    """The last i minimizing v(f_i) + ik, f_i = f^(i)(a)/i! and v0 = v(f_0).
+
+    f_i comes from the i-th pass of synthetic division by x - a.  Once
+    ik exceeds the least value so far, no later i can reach it, so the
+    passes stop there, and each valuation is read only as far as it
+    could tie that least value.
+    """
+    c = list(coeffs)
+    top = len(c) - 1
+    for j in range(top - 1, -1, -1):          # pass 0 leaves c[0] = f(a)
+        c[j] += a * c[j + 1]
+    best, inside = v0, 0
+    for i in range(1, top + 1):
+        if i * k > best:
+            break
+        for j in range(top - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+        w = vp(c[i], p, best - i * k + 1) + i * k
+        if w <= best:
+            best, inside = w, i
+    return inside
 
 
 def _zp_roots(coeffs: Sequence[int], p: int, prec: int,
@@ -86,9 +111,10 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int,
        i >= 2 term (>= 2k).  Drop if v(f(a)) < k + d; else v(f(a)) > 2d and
        Hensel's lemma puts exactly one root in the class (f is injective
        there), which ``_newton_refine`` lifts.
-    3. d >= k: build every f_i by synthetic division.  The class holds as
-       many roots in C_p as the last i minimizing v(f_i) + ik: drop it at
-       none, else split it into the p children.
+    3. d >= k: build the f_i by synthetic division.  The class holds as
+       many roots in C_p as the last i minimizing v(f_i) + ik
+       (``_roots_in_class``): drop it at none, else split it into the p
+       children.
 
     A class with one root holds a root in Q_p (its conjugates would sit
     there too), which case 2 certifies by depth v(f'(root)) + 1, even past
@@ -104,7 +130,10 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int,
         k += 1
         kept = []
         for a in frontier:
-            v0 = vp(poly_eval(coeffs, a), p)
+            fa = poly_eval(coeffs, a)
+            if fa % p:
+                continue                      # v(f(a)) = 0 < k
+            v0 = vp(fa, p)
             if v0 < k:
                 continue
             d = vp(poly_eval(deriv, a), p)
@@ -112,8 +141,7 @@ def _zp_roots(coeffs: Sequence[int], p: int, prec: int,
                 if v0 >= k + d:
                     roots.append(_newton_refine(coeffs, deriv, a, d, p, prec))
                 continue
-            w = [vp(c, p) + i * k for i, c in enumerate(_taylor_shift(coeffs, a))]
-            inside = max(i for i, x in enumerate(w) if x == min(w))
+            inside = _roots_in_class(coeffs, a, p, k, v0)
             if inside > 1 and k > prec:
                 tied += inside
             elif inside:
@@ -259,17 +287,35 @@ class ClusterTree:
         return out
 
 
+def _difference(a: PAdic, b: PAdic):
+    """a - b for nonzero a, b as integers (val, unit, rel), or None when
+    a - b is zero at its precision: the element ``a - b`` would give."""
+    p = a.p
+    va, vb = a.valuation, b.valuation
+    base, n = min(va, vb), min(a.prec, b.prec)
+    s = a.unit_residue() * p ** (va - base) - b.unit_residue() * p ** (vb - base)
+    t = vp(s, p, n - base)
+    if base + t >= n:
+        return None
+    return base + t, s // p**t, n - base - t
+
+
 def _matrix_from_roots(roots: List[PAdic]):
     n = len(roots)
     m = [[INF] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            diff = roots[i] - roots[j]
-            if diff.is_zero():
+            if roots[i].is_zero() or roots[j].is_zero():
+                diff = roots[i] - roots[j]
+                v = None if diff.is_zero() else diff.valuation
+            else:
+                d = _difference(roots[i], roots[j])
+                v = None if d is None else d[0]
+            if v is None:
                 raise PrecisionInsufficient(
                     f"roots {i} and {j} are indistinguishable at this precision"
                 )
-            m[i][j] = m[j][i] = Fraction(diff.valuation)
+            m[i][j] = m[j][i] = v
     return m
 
 
@@ -412,12 +458,30 @@ class Decomposition:
 
 
 def _gamma_for(curve, tree, child: ClusterNode, center: PAdic) -> PAdic:
-    gamma = PAdic.from_rational(curve.leading_coefficient, curve.p, curve.precision)
-    inside = set(child.indices)
-    for j, theta in enumerate(tree.roots):
-        if j not in inside:
+    """lc * prod (center - theta_j) over the roots outside the child.
+
+    With nonzero factors this is one integer product of their units, known
+    to their least relative precision: the element the PAdic products give.
+    """
+    p = curve.p
+    lc = PAdic.from_rational(curve.leading_coefficient, p, curve.precision)
+    outside = [theta for j, theta in enumerate(tree.roots) if j not in child.indices]
+    diffs = [None]
+    if not any(x.is_zero() for x in (lc, center, *outside)):
+        diffs = [_difference(center, theta) for theta in outside]
+    if None in diffs:
+        gamma = lc
+        for theta in outside:
             gamma = gamma * (center - theta)
-    return gamma
+        return gamma
+    val, rel = lc.valuation, lc.rel_prec
+    for v, _, r in diffs:
+        val, rel = val + v, min(rel, r)
+    mod = p**rel
+    unit = lc.unit_residue()
+    for _, u, _ in diffs:
+        unit = unit * u % mod
+    return PAdic(p, val, unit, val + rel)
 
 
 def _gamma_valuation_from_matrix(curve, tree, child: ClusterNode) -> Fraction:
@@ -496,12 +560,20 @@ def _classify_edge(curve, tree, parent: ClusterNode,
     )
 
 
-def _free_disk_count(curve, x_lift: int) -> int:
-    """Curve components over a branch-point-free residue disk: 2 or 0."""
-    value, p = curve.evaluate(x_lift), curve.p
+def _free_disk_count(scaled_f: List[int], p: int, x_lift: int) -> int:
+    """Curve components over a branch-point-free residue disk: 2 or 0.
+
+    ``scaled_f`` is f times a square integer, so f(x) and its value have
+    one square class: a square in Q_p (p odd) iff its valuation is even and
+    its unit part a square mod p.
+    """
+    value = poly_eval(scaled_f, x_lift)
     if value == 0:
         raise ValueError("free disk contains a branch point")
-    return 2 if is_square(PAdic.from_rational(value, p, vp(value, p) + 1)) else 0
+    v = vp(value, p)
+    if v % 2:
+        return 0
+    return 2 if pow(value // p**v % p, (p - 1) // 2, p) == 1 else 0
 
 
 def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
@@ -517,28 +589,30 @@ def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
             DiskRegion("infinity", None, None, 2 if lc_square else 0, lc_square)
         )
 
-    def lift(i: int) -> int:
-        return int(tree.roots[i].lift())
+    lifts = [int(r.lift()) for r in tree.roots]
+    # f times the square of its common denominator has integer coefficients
+    den = common_denominator(curve.f)
+    scaled_f = [c.numerator * (den // c.denominator) * den for c in curve.f]
 
     def walk(node: ClusterNode):
         d = int(node.depth)
-        base = lift(node.least)
+        base = lifts[node.least]
         occupied = {}
         for ch in node.children:
-            offset = (lift(ch.least) - base) // p**d % p
+            offset = (lifts[ch.least] - base) // p**d % p
             occupied[offset] = ch
         for s in range(p):
             ch = occupied.get(s)
             if ch is None:
                 x_s = base + s * p**d
-                cnt = _free_disk_count(curve, x_s)
+                cnt = _free_disk_count(scaled_f, p, x_s)
                 regions.append(
                     DiskRegion("free", Fraction(d), x_s, cnt, cnt > 0)
                 )
             elif ch.size == 1:
                 regions.append(
                     DiskRegion(
-                        "branch", Fraction(d), lift(ch.least), 1, True,
+                        "branch", Fraction(d), lifts[ch.least], 1, True,
                         branch_index=ch.least,
                     )
                 )
@@ -548,7 +622,7 @@ def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
                 cnt = ann.count
                 regions.append(
                     DiskRegion(
-                        "weierstrass", Fraction(d), lift(ch.least), cnt, True,
+                        "weierstrass", Fraction(d), lifts[ch.least], cnt, True,
                         annulus_ref=idx,
                     )
                 )

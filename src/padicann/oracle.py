@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import CertificationFailed, CoverageGap, DoubleCover
@@ -167,7 +167,8 @@ def _count_at_valuation(ints, p: int, m: int, N: int) -> int:
     reversed polynomial, so take s = |m| >= 0 and that polynomial f.  The
     descent visits the classes x + p^K Z_p, x = p^s u with u a unit mod p^k
     and K = s + k, for k = 1 .. N, and reads the exact Taylor coefficients
-    f_i(x) = f^(i)(x) / i! (integers), with v0 = v(f(x)), vd = v(f'(x)):
+    f_i(x) = f^(i)(x) / i! (integers), with v0 = v(f(x)), vd = v(f'(x)),
+    only as far as they can decide the class:
 
     * a root x + p^K t, t in Z_p, gives f(x) = -sum_{i>=1} f_i(x) p^(iK) t^i,
       so a class with v0 < min_i (v(f_i(x)) + iK) holds no root: dropped;
@@ -185,13 +186,17 @@ def _count_at_valuation(ints, p: int, m: int, N: int) -> int:
     count = 0
     for k in range(1, N + 1):
         K = s + k
+        pK = p**K
         still_open = []
         for u in classes:
             taylor = _taylor_coefficients(f, u * p**s)
-            v0 = vp(taylor[0], p)
-            if v0 < min(vp(c, p, v0) + i * K for i, c in enumerate(taylor) if i):
+            f0 = next(taylor)
+            if f0 % pK:
+                continue  # v0 < K <= every v(f_i) + iK: no root
+            f1 = next(taylor)
+            if not _may_hold_a_root(vp(f0, p), K, chain([f1], taylor), p):
                 continue
-            if vp(taylor[1], p, K) < K:
+            if f1 % pK:
                 count += 1
             else:
                 still_open.append(u)
@@ -204,17 +209,27 @@ def _count_at_valuation(ints, p: int, m: int, N: int) -> int:
     )
 
 
-def _taylor_coefficients(f, x: int) -> List[int]:
-    """f(x), f'(x), f''(x)/2, ...: repeated synthetic division by t - x."""
-    out = []
+def _may_hold_a_root(v0, K: int, taylor, p: int) -> bool:
+    """Whether some f_i, i >= 1, has v(f_i) + iK <= v0, as a root in the
+    class needs; once iK > v0 none can, so the passes stop there."""
+    for i, c in enumerate(taylor, 1):
+        if i * K > v0:
+            return False
+        if vp(c, p, v0 - i * K + 1) + i * K <= v0:
+            return True
+    return False
+
+
+def _taylor_coefficients(f, x: int):
+    """f(x), f'(x), f''(x)/2, ..., one at a time: repeated synthetic
+    division by t - x."""
     while f:
         acc, quotient = 0, []
         for c in reversed(f):
             acc = acc * x + c
             quotient.append(acc)
-        out.append(quotient.pop())
+        yield quotient.pop()
         f = quotient[::-1]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ Example::
 
 from __future__ import annotations
 
-import math
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -111,13 +111,18 @@ class PAdic:
         return cls.from_rational(n, p, prec)
 
     @classmethod
-    def from_rational(cls, q, p: int, prec: int = DEFAULT_PRECISION) -> "PAdic":
-        """Embed a rational exactly, truncated at absolute precision ``prec``."""
+    def from_rational(cls, q, p: int, prec: int = DEFAULT_PRECISION,
+                      val=None) -> "PAdic":
+        """Embed a rational exactly, truncated at absolute precision ``prec``.
+
+        ``val`` is v_p(q) when the caller has it already.
+        """
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
         if q == 0:
             return cls.zero(p)
-        val = vp(q, p)
+        if val is None:
+            val = vp(q, p)
         rel = prec - val
         if rel < 1:
             return cls.inexact_zero(p, prec)
@@ -201,8 +206,9 @@ class PAdic:
                 return PAdic.from_rational(other, self.p, target + 1)
             if other == 0:
                 return PAdic.zero(self.p)
-            target = max(self._prec, vp(other, self.p) + self._prec - self._val)
-            return PAdic.from_rational(other, self.p, target)
+            v = vp(other, self.p)
+            target = max(self._prec, v + self._prec - self._val)
+            return PAdic.from_rational(other, self.p, target, v)
         return NotImplemented
 
     def __add__(self, other):
@@ -290,15 +296,31 @@ class PAdic:
         return num / self
 
     def __pow__(self, k: int):
+        """``x ** k``, with ``x ** -k == 1 / x ** k``.
+
+        A product keeps the least relative precision of its factors, so the
+        power of ``p^v u + O(p^(v + r))`` is ``p^(kv) u^k + O(p^(kv + r))``;
+        ``x ** 0`` is 1 at the relative precision of x, like ``x * x ** -1``.
+        A zero has no relative precision, so ``0 ** 0`` is 1 at the
+        precision of a constant met by the exact zero, and ``O(p^N) ** k``
+        is ``O(p^(kN))`` for k >= 1.
+
+            >>> x = PAdic(3, -25, 2, -5)        # 2 * 3^-25 + O(3^-5)
+            >>> x ** 0 == x * x ** -1 == PAdic(3, 0, 1, 20)
+            True
+        """
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return PAdic.from_int(1, self.p, int(self.prec) if self._prec is not None else DEFAULT_PRECISION)
-        base = self if k > 0 else 1 / self
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        if self._val is None:
+            if k < 0:
+                raise DivisionByIndistinguishableZero(
+                    f"divisor is zero to precision O({self.p}^{self.prec})")
+            if k == 0:
+                return PAdic(self.p, 0, 1, DEFAULT_PRECISION)
+            return self if self._prec is None else PAdic.inexact_zero(self.p, k * self._prec)
+        rel = self._prec - self._val
+        return PAdic(self.p, k * self._val, pow(self._unit, k, self.p ** rel),
+                     k * self._val + rel)
 
     # --- comparison helpers ----------------------------------------------
 
@@ -464,42 +486,71 @@ def _teichmuller_unit(u: int, p: int, rel: int) -> int:
     return zeta
 
 
-def teichmuller_lift(residue: int, p: int, rel_prec: int) -> PAdic:
-    """The (p-1)-st root of unity congruent to ``residue`` mod p."""
-    if residue % p == 0:
-        raise ZeroArgument("no Teichmueller lift of residue 0")
-    return PAdic(p, 0, _teichmuller_unit(residue, p, rel_prec), rel_prec)
+@functools.lru_cache(maxsize=256)
+def _log_coefficients(p: int, rel: int, c: int):
+    """``(K, b)`` with b[n - 1] = (-1)^(n+1) p^K / (n e) mod p^(rel + K), the
+    terms of log(1 + z) / e for v(z) = c that survive mod p^rel, where e
+    is p - 1 for odd p and 1 for p = 2 (see ``log0``).
+
+    Term n has valuation n c - v_p(n) >= n c - floor(log_p n); once that
+    bound, also for every later n, exceeds rel, the sum is complete.
+    K = floor(log_p M) for the last term M is the largest v_p(n), so every
+    coefficient is an integer.
+    """
+    def floor_log(n):
+        k, q = 0, p
+        while q <= n:
+            k, q = k + 1, q * p
+        return k
+
+    n = 2
+    while n * c - floor_log(n) - 1 <= rel:
+        n += 1
+    last = n - 1
+    K = floor_log(last)
+    mod = p ** (rel + K)
+    scale = p ** K * pow(1 if p == 2 else p - 1, -1, mod)
+    b = []
+    for n in range(1, last + 1):
+        k = vp(n, p)
+        term = scale // p ** k * pow(n // p ** k, -1, mod) % mod
+        b.append(term if n % 2 else -term % mod)
+    return K, tuple(b)
 
 
 def log0(x: PAdic) -> PAdic:
     """The logarithm branch with Log(p) = 0.
 
-    Strips p-powers and the Teichmueller part (both killed by this branch)
-    and sums log(u) = sum (-1)^(n+1) (u-1)^n / n for the 1-unit part, on
-    integer residues mod p^rel.  In particular every root of unity, and
-    every power of p, maps to zero.
+    Strips p-powers (killed by this branch) and, for odd p, raises the
+    unit u to the power p - 1, which kills its Teichmueller part:
+    log0(x) = log(u^(p-1)) / (p - 1), with u^(p-1) a 1-unit.  For p = 2
+    the unit is u or -u, whichever is 1 mod 4.  log(1 + z) = sum
+    (-1)^(n+1) z^n / n is then one Horner pass in z on integers mod
+    p^(rel + K), with the coefficients from ``_log_coefficients``.  Every
+    root of unity, and every power of p, maps to zero.
+
+        >>> log0(PAdic.from_int(4, 3, 5))      # log(1 + 3) = 3 - 9/2 + 9 - ...
+        PAdic(16*3^1 + O(3^5))
+        >>> log0(PAdic.from_int(-9, 3, 5)).is_zero()
+        True
     """
     if x.is_zero():
         raise ZeroArgument("Log0 is undefined at zero")
     p = x.p
-    _, _, u = teichmuller_decompose(x)
-    rel = int(u.prec)
+    rel = x.rel_prec
     mod = p**rel
-    z = (u.unit_residue() - 1) % mod
+    u = x.unit_residue()
+    if p == 2:
+        z = (u if u % 4 == 1 else -u) - 1
+    else:
+        z = pow(u, p - 1, mod) - 1
+    z %= mod
     if z == 0:
-        # u = 1 to working precision; the log is zero to (at least) that precision
+        # u is a root of unity to working precision; its log is zero there
         return PAdic.inexact_zero(p, rel)
-    c = vp(z, p)
-    total = 0
-    zn = z
-    n = 1
-    while True:
-        k = vp(n, p)
-        term = zn // p**k * pow(n // p**k, -1, mod)
-        total += term if n % 2 == 1 else -term
-        n += 1
-        zn *= z
-        # terms have valuation >= n*c - v_p(n); stop once provably below precision
-        if n * c - (math.floor(math.log(n, p)) + 1) > rel:
-            break
-    return PAdic(p, 0, total, rel)
+    K, b = _log_coefficients(p, rel, vp(z, p))
+    big = mod * p**K
+    acc = 0
+    for coeff in reversed(b):
+        acc = (acc + coeff) * z % big
+    return PAdic(p, 0, acc // p**K, rel)

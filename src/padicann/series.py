@@ -21,7 +21,7 @@ from .errors import (
     ProvisionalPolygon,
     UnsupportedRegime,
 )
-from .intpoly import as_int, as_rational
+from .intpoly import INF, as_int, as_rational
 from .padic import DEFAULT_PRECISION, PAdic
 
 
@@ -119,11 +119,39 @@ class LaurentPoly:
         return LaurentPoly(self.p, {n - 1: c * n for n, c in self.terms.items() if n != 0})
 
     def evaluate(self, x: PAdic) -> PAdic:
-        """Plain evaluation; needs x nonzero if negative exponents occur."""
-        total = PAdic.zero(self.p)
-        for n, c in sorted(self.terms.items()):
-            total = total + c * x**n
-        return total
+        """The sum of c_n x^n; needs x nonzero if negative exponents occur.
+
+        For x = p^v u + O(p^(v + r)) each term c_n x^n is p^(v(c_n) + nv)
+        c_n' u^n, known to min(r, the relative precision of c_n) digits, and
+        an O(p^N) coefficient gives O(p^(N + nv)); so the value is one
+        integer sum, reduced to the least of those absolute precisions, the
+        same element that adding up ``c * x**n`` gives term by term.
+        """
+        if x.is_zero() or not self.terms:
+            total = PAdic.zero(self.p)
+            for n, c in self.terms.items():
+                total = total + c * x**n
+            return total
+        if x.p != self.p:
+            raise ValueError(f"mixed primes {self.p} and {x.p}")
+        p, v, u, r = self.p, x.valuation, x.unit_residue(), x.rel_prec
+        prec = INF
+        parts = []
+        for n, c in self.terms.items():
+            if c.is_zero():
+                prec = min(prec, c.prec + n * v)
+            else:
+                val = c.valuation + n * v
+                prec = min(prec, val + min(c.rel_prec, r))
+                parts.append((val, n, c.unit_residue()))
+        if not parts:
+            return PAdic.inexact_zero(p, prec)
+        base = min(val for val, _, _ in parts)
+        if prec <= base:
+            return PAdic.inexact_zero(p, prec)
+        mod = p ** (prec - base)
+        total = sum(w * pow(u, n, mod) * p ** (val - base) for val, n, w in parts)
+        return PAdic(p, base, total, prec)
 
     def __repr__(self):
         if not self.terms:
@@ -178,7 +206,7 @@ class NewtonPolygon:
     """Lower convex hull of (exponent, coefficient valuation) points."""
 
     def __init__(self, vertices, bound_points, provisional):
-        self.vertices = vertices          # [(n, Fraction(v))] increasing slopes
+        self.vertices = vertices          # [(n, v)] int points, increasing slopes
         self.bound_points = bound_points  # [(n, N)] meaning v(a_n) >= N
         self.provisional = provisional
 
@@ -221,15 +249,17 @@ def _lower_hull(points):
 
 
 def newton_polygon(f: LaurentPoly) -> NewtonPolygon:
-    """Lower hull of the (n, v(a_n)) cloud, with O(p^N) coefficients flagged."""
+    """Lower hull of the (n, v(a_n)) cloud, with O(p^N) coefficients flagged.
+
+    The points are ints, so the hull is built on integer cross-products.
+    """
     definite = f.definite_terms()
     if not definite:
         raise AllCoefficientsIndistinguishableFromZero(
             "no coefficient is nonzero at its precision"
         )
-    pts = [(n, Fraction(c.valuation)) for n, c in definite.items()]
-    hull = _lower_hull(pts)
-    bounds = [(n, Fraction(int(c.prec))) for n, c in f.bound_terms().items()]
+    hull = _lower_hull([(n, c.valuation) for n, c in definite.items()])
+    bounds = [(n, c.prec) for n, c in f.bound_terms().items()]
     provisional = False
     lo, hi = hull[0][0], hull[-1][0]
     poly = NewtonPolygon(hull, bounds, False)

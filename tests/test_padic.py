@@ -24,7 +24,6 @@ from padicann.padic import (
     log0,
     sqrt,
     teichmuller_decompose,
-    teichmuller_lift,
     vp,
 )
 
@@ -294,6 +293,11 @@ def test_sqrt_squares_roundtrip(n):
 # ---------------------------------------------------------------------------
 
 
+def _root_of_unity(residue, p, rel):
+    """The (p-1)-st root of unity = residue mod p, as residue^(p^(rel-1)) mod p^rel."""
+    return PAdic(p, 0, pow(residue, p ** (rel - 1), p**rel), rel)
+
+
 def test_teichmuller_trivial():
     m, zr, u = teichmuller_decompose(PAdic.from_int(3, 3, 8))
     assert (m, zr) == (1, 1)
@@ -304,10 +308,11 @@ def test_teichmuller_50_at_p5():
     m, zr, u = teichmuller_decompose(PAdic.from_int(50, 5, 5))
     assert m == 2
     assert zr == 2
-    # oracle: iterating r -> r^5 mod 125 from 2 stabilizes at 57
-    zeta = teichmuller_lift(2, 5, 3)
+    # oracle: iterating r -> r^5 mod 125 from 2 stabilizes at 57 = 2^(5^2)
+    zeta = _root_of_unity(2, 5, 3)
     assert zeta.unit_residue() == 57
     assert (u.unit_residue() - 1) % 5 == 0
+    assert (zeta * u * 25).agrees(50)
 
 
 def test_teichmuller_zero_rejected():
@@ -323,7 +328,7 @@ def test_teichmuller_root_of_unity(n):
     if x.is_zero():
         return
     m, zr, u = teichmuller_decompose(x)
-    zeta = teichmuller_lift(zr, p, 10)
+    zeta = _root_of_unity(zr, p, 10)
     assert (zeta ** (p - 1)).agrees(1)
     # recomposition returns the input value
     recomposed = zeta * u * PAdic.from_rational(Q(p) ** m, p, 10 + max(0, m) + 1)
@@ -361,7 +366,7 @@ def test_log0_kills_p_and_roots_of_unity():
     p = 3
     assert log0(PAdic.from_int(p, p, 12)).is_zero()
     assert log0(PAdic.from_int(-1, p, 12)).is_zero()
-    zeta = teichmuller_lift(3, 7, 10)
+    zeta = _root_of_unity(3, 7, 10)
     assert log0(zeta).is_zero()
 
 
@@ -424,6 +429,30 @@ def test_log0_matches_padic_series(p, val, unit, rel):
     assert log0(x) == _log0_reference(x)  # same val, unit and prec
 
 
+@given(
+    p=st.sampled_from((2, 3, 10007)),
+    c=st.integers(1, 5),
+    w=st.integers(0, 10**30),
+    rel=st.integers(1, 90),
+    val=st.integers(-3, 3),
+)
+# the series needs terms up to n = 8, 9 and 27: past a power of p, where
+# v_p(n) and so the scale of the summed coefficients grows
+@example(p=2, c=1, w=1, rel=12, val=0)
+@example(p=3, c=1, w=1, rel=6, val=0)
+@example(p=3, c=1, w=1, rel=23, val=1)
+@settings(max_examples=300, deadline=None)
+def test_log0_matches_padic_series_across_powers_of_p(p, c, w, rel, val):
+    # a 1-unit 1 + p^c w: the number of series terms, about rel / c, crosses
+    # powers of p as rel grows
+    if p == 2:
+        c += 1
+    if p == 10007:
+        rel = min(rel, 30)
+    x = PAdic(p, val, 1 + p**c * w, val + rel)
+    assert log0(x) == _log0_reference(x)
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
@@ -441,6 +470,49 @@ def test_pow():
     assert (x**3).agrees(Q(27, 8))
     assert (x**-2).agrees(Q(4, 9))
     assert (x**0).agrees(1)
+
+
+def test_zeroth_power_is_one_at_the_relative_precision():
+    # 2 * 3^-25 + O(3^-5) has 20 known digits, so x ** 0 is 1 + O(3^20),
+    # not the O(3^-5) that its absolute precision would give
+    x = PAdic(3, -25, 2, -5)
+    assert x**0 == PAdic(3, 0, 1, 20) == x * x**-1
+    y = PAdic.from_int(18, 3, 10)
+    assert y**0 == PAdic(3, 0, 1, 8) == y * y**-1
+    # a zero has no relative precision: 1 takes that of a constant met by the exact zero
+    assert PAdic.zero(3) ** 0 == PAdic.inexact_zero(3, 4) ** 0 == PAdic(3, 0, 1, 20)
+
+
+def _power_by_multiplication(x, k):
+    """x ** k as repeated products of x or of 1 / x; k = 0 gives x * (1 / x)."""
+    if k == 0:
+        return x * (1 / x)
+    base = x if k > 0 else 1 / x
+    out = base
+    for _ in range(abs(k) - 1):
+        out = out * base
+    return out
+
+
+@given(p=st.sampled_from((2, 3, 5, 7, 10007)), k=st.integers(-6, 6),
+       val=st.integers(-30, 30), unit=st.integers(1, 10**12),
+       rel=st.integers(1, 30), zero=st.sampled_from((None, "exact", "inexact")))
+@example(p=3, k=0, val=-25, unit=2, rel=20, zero=None)
+@example(p=3, k=3, val=-4, unit=0, rel=1, zero="inexact")
+@settings(max_examples=400, deadline=None)
+def test_power_is_repeated_multiplication(p, k, val, unit, rel, zero):
+    if zero is None:
+        assume(unit % p)
+        x = PAdic(p, val, unit, val + rel)
+    else:
+        x = PAdic.zero(p) if zero == "exact" else PAdic.inexact_zero(p, val)
+    if x.is_zero() and k < 0:
+        with pytest.raises(DivisionByIndistinguishableZero):
+            x**k
+    elif x.is_zero() and k == 0:
+        assert x**k == PAdic(p, 0, 1, 20)
+    else:
+        assert x**k == _power_by_multiplication(x, k)
 
 
 @given(st.sampled_from((3, 5, 7)), st.integers(5, 60), st.integers(-3, 3),

@@ -273,6 +273,30 @@ class TestAlgebra:
         assert val.prec == 37
         assert val == 1 / (x * x) + x
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_is_the_term_by_term_padic_sum(self, data):
+        # definite and O(p^N) coefficients, always a z^0 term, and a point
+        # known to finitely many digits: the one integer sum must give the
+        # element that adding up c * x**n gives, with the same val, unit, prec
+        p = data.draw(st.sampled_from((2, 3, 5, 10007)))
+        unit = st.integers(1, 10**12).filter(lambda u: u % p)
+
+        def element():
+            if data.draw(st.integers(0, 4)) == 0:
+                return PAdic.inexact_zero(p, data.draw(st.integers(-6, 12)))
+            v = data.draw(st.integers(-3, 3))
+            return PAdic(p, v, data.draw(unit), v + data.draw(st.integers(1, 20)))
+
+        exps = data.draw(st.sets(st.integers(-4, 4), max_size=5)) | {0}
+        f = LaurentPoly(p, {n: element() for n in exps})
+        v = data.draw(st.integers(-3, 3))
+        x = PAdic(p, v, data.draw(unit), v + data.draw(st.integers(1, 20)))
+        want = PAdic.zero(p)
+        for n, c in f.terms.items():
+            want = want + c * x**n
+        assert f.evaluate(x) == want
+
     def test_json_roundtrip(self):
         f = L(3, {-2: Fraction(1, 2), 5: 7})
         g = LaurentPoly.from_json(f.to_json())
