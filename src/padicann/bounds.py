@@ -34,13 +34,6 @@ def delta(p: int, e: int, n: int) -> int:
     return e * (n // (p - e - 1))
 
 
-def delta2_bound(n: int) -> Fraction:
-    """Upper bound 1 + n/2 for the p = 2 correction."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return 1 + Fraction(n, 2)
-
-
 def Delta(s: int, r: int, p: int, e: int) -> int:
     """max of sum_j delta(p, e, m_j) over s nonnegative parts with sum <= r.
 
@@ -231,13 +224,6 @@ def rholog_bounds(g: int) -> RhoLogBounds:
     total = 144 * (g - 1) ** 2 + 199 * (g - 1) + 10
     assert total == disks_total + core_annuli * annulus
     return RhoLogBounds(annulus, core_disks, core_annuli, disks_total, total)
-
-
-def rho_image_laurent_bound(w: int) -> int:
-    """Image bound 3w + 3 for a Laurent expansion of exponent width w."""
-    if w < 0:
-        raise ValueError("need w >= 0")
-    return 3 * w + 3
 
 
 def density_lower_bound(g: int) -> Fraction:

@@ -51,11 +51,13 @@ def _padic_in(obj, name: str, p: int, prec: int) -> PAdic:
     return PAdic.from_rational(as_rational(obj, name), p, prec)
 
 
-def _matrix_from_obj(obj: dict):
-    vm = obj.get("valuation_matrix")
-    if vm is None:
-        return None
-    return [[as_rational(x, "valuation_matrix") for x in row] for row in vm]
+def _curve_job(obj: dict) -> dict:
+    """The job, unless it carries the removed ``valuation_matrix`` key:
+    ignoring that key would silently give another answer than it asked for."""
+    if "valuation_matrix" in obj:
+        raise ValueError("valuation_matrix is no longer accepted: the "
+                         "decomposition is read off the roots of f alone")
+    return obj
 
 
 def _flag(job: dict, key: str) -> bool:
@@ -107,8 +109,7 @@ def _bounds_table(rep) -> str:
     lines.append(scalar("R_rational", rep.R_rational))
     lines.append(scalar("torsion_bound", rep.torsion_bound))
     lines.append(scalar("improved_bound", rep.improved_bound))
-    if rep.rholog is not None:
-        lines.append(scalar("rho_log_total", rep.rholog.total))
+    lines.append(scalar("rho_log_total", rep.rholog.total))
     lines.append(scalar("density_lower", rep.density_lower))
     lines.append(scalar("min_unlikely_n", rep.min_unlikely_n))
     return "\n".join(lines) + "\n"
@@ -117,8 +118,7 @@ def _bounds_table(rep) -> str:
 def _cmd_decompose(args) -> int:
     from .curves import HyperellipticCurve, decompose
 
-    obj = _read_job(args.curve)
-    dec = decompose(HyperellipticCurve.from_json(obj), _matrix_from_obj(obj))
+    dec = decompose(HyperellipticCurve.from_json(_curve_job(_read_job(args.curve))))
     _emit(dec.to_json())
     return 0
 
@@ -126,8 +126,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_pullback(args) -> int:
     from .curves import HyperellipticCurve, decompose, pullback_differential
 
-    job = _read_job(args.job)
-    dec = decompose(HyperellipticCurve.from_json(job["curve"]), _matrix_from_obj(job))
+    job = _curve_job(_read_job(args.job))
+    dec = decompose(HyperellipticCurve.from_json(job["curve"]))
     idx = as_int(job["annulus_index"], "annulus_index")
     if not 0 <= idx < len(dec.annuli):
         raise ValueError(f"annulus_index {idx} out of range "
@@ -247,9 +247,8 @@ def _cmd_verify_cover(args) -> int:
     from .curves import HyperellipticCurve, decompose
     from .oracle import verify_decomposition_cover
 
-    obj = _read_job(args.curve)
-    curve = HyperellipticCurve.from_json(obj)
-    _emit(verify_decomposition_cover(curve, decompose(curve, _matrix_from_obj(obj))))
+    curve = HyperellipticCurve.from_json(_curve_job(_read_job(args.curve)))
+    _emit(verify_decomposition_cover(curve, decompose(curve)))
     return 0
 
 
@@ -336,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=1)
 
     sp = add("decompose", _cmd_decompose, "annulus/disk decomposition of P^1 for a curve")
-    sp.add_argument("curve", help="curve JSON file: {p, f, precision?, valuation_matrix?}")
+    sp.add_argument("curve", help="curve JSON file: {p, f, precision?}")
 
     sp = add("pullback", _cmd_pullback, "pull a differential back to one annulus")
     sp.add_argument("job", help="JSON file: {curve, annulus_index, u_tilde}")

@@ -7,9 +7,8 @@ annuli are classified odd / even / Weierstrass by the number of branch points
 inside, and carry the constants (gamma, alpha, the x^2 - a datum) needed to
 pull regular differentials back to Laurent data on the annulus.
 
-Input curves must split over Q_p at working precision, or the caller supplies
-the pairwise valuation matrix of the branch points; extension fields are out
-of scope.
+The tree is read off the roots of f alone, so input curves must split over
+Q_p at working precision; extension fields are out of scope.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def _qp_roots(coeffs: Sequence[Fraction], p: int, prec: int) -> List[PAdic]:
     if len(roots) != deg:
         raise NonSplitInput(
             f"found {len(roots)} of {deg} roots in Q_p at precision {prec}; "
-            "supply a valuation matrix or raise precision"
+            "the curve must split over Q_p, or raise precision"
         )
     return roots
 
@@ -200,9 +199,6 @@ class HyperellipticCurve:
         self.genus = (self.degree - 1) // 2
         self.leading_coefficient = coeffs[-1]
         self._roots = None
-
-    def evaluate(self, x) -> Fraction:
-        return poly_eval(self.f, Fraction(x))
 
     def roots(self) -> List[PAdic]:
         if self._roots is None:
@@ -256,22 +252,9 @@ class ClusterNode:
 
 
 class ClusterTree:
-    def __init__(self, root: ClusterNode, matrix, roots: Optional[List[PAdic]]):
+    def __init__(self, root: ClusterNode, roots: List[PAdic]):
         self.root = root
-        self.matrix = matrix
         self.roots = roots
-
-    def proper_nodes(self) -> List[ClusterNode]:
-        out = []
-
-        def walk(node):
-            if node.size >= 2:
-                out.append(node)
-                for ch in node.children:
-                    walk(ch)
-
-        walk(self.root)
-        return out
 
     def edges(self) -> List[Tuple[ClusterNode, ClusterNode]]:
         """(parent, proper child) pairs, in deterministic order."""
@@ -334,31 +317,11 @@ def _build_node(indices: List[int], matrix) -> ClusterNode:
     return ClusterNode(tuple(indices), depth, children)
 
 
-def build_cluster_tree(curve: HyperellipticCurve, valuation_matrix=None) -> ClusterTree:
+def build_cluster_tree(curve: HyperellipticCurve) -> ClusterTree:
     """Nest the finite branch points by pairwise difference valuations."""
-    if valuation_matrix is not None:
-        n = curve.degree
-        if len(valuation_matrix) != n or any(len(row) != n for row in valuation_matrix):
-            raise ValueError(f"valuation matrix must be {n}x{n}")
-        matrix = [
-            [Fraction(x) if i != j else INF for j, x in enumerate(row)]
-            for i, row in enumerate(valuation_matrix)
-        ]
-        for i in range(n):
-            for j in range(n):
-                if matrix[i][j] != matrix[j][i]:
-                    raise ValueError("valuation matrix must be symmetric")
-                for k in range(n):
-                    if matrix[i][j] < min(matrix[i][k], matrix[k][j]):
-                        raise ValueError(
-                            f"valuation matrix must be ultrametric: entry ({i}, {j}) "
-                            f"is below entries ({i}, {k}) and ({k}, {j})")
-        roots = None
-    else:
-        roots = curve.roots()
-        matrix = _matrix_from_roots(roots)
-    root = _build_node(list(range(len(matrix))), matrix)
-    return ClusterTree(root, matrix, roots)
+    roots = curve.roots()
+    root = _build_node(list(range(len(roots))), _matrix_from_roots(roots))
+    return ClusterTree(root, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +381,7 @@ class DiskRegion:
     kind: str                      # infinity | free | branch | weierstrass
     level: Optional[Fraction]      # disk is {v(x - anchor) > level}
     anchor: Optional[int]          # integer lift of the disk center, None for infinity
-    count: Optional[int]           # curve-side residue components over the region
+    count: int                     # curve-side residue components over the region
     may_contain_points: bool
     branch_index: Optional[int] = None
     annulus_ref: Optional[int] = None
@@ -484,16 +447,6 @@ def _gamma_for(curve, tree, child: ClusterNode, center: PAdic) -> PAdic:
     return PAdic(p, val, unit, val + rel)
 
 
-def _gamma_valuation_from_matrix(curve, tree, child: ClusterNode) -> Fraction:
-    v = Fraction(vp(curve.leading_coefficient, curve.p))
-    c0 = child.least
-    n = len(tree.matrix)
-    for j in range(n):
-        if j not in child.indices:
-            v += tree.matrix[c0][j]
-    return v
-
-
 def _classify_edge(curve, tree, parent: ClusterNode,
                    child: ClusterNode) -> AnnulusDescriptor:
     g = curve.genus
@@ -518,39 +471,32 @@ def _classify_edge(curve, tree, parent: ClusterNode,
         if outside == 2:
             flags.append("exterior-pair")
 
-    gamma = alpha = a_const = center = None
-    split = None
-    # v(center - theta_j) = v(theta_least - theta_j) for every theta_j
-    # outside the child, also at the midpoint of a pair since p is odd
-    v_gamma = _gamma_valuation_from_matrix(curve, tree, child)
-    if tree.roots is not None:
-        roots = tree.roots
-        if kind == WEIERSTRASS:
-            i1, i2 = child.indices
-            center = (roots[i1] + roots[i2]) / 2
-            diff = roots[i1] - roots[i2]
-            a_const = (diff / 4) ** 2
-        else:
-            center = roots[child.least]
-        gamma = _gamma_for(curve, tree, child, center)
-        if kind in (EVEN, WEIERSTRASS):
-            split = is_square(gamma)
-            if split:
-                alpha = sqrt(gamma)
-            else:
-                flags.append("non-split")
+    alpha = a_const = split = None
+    roots = tree.roots
+    if kind == WEIERSTRASS:
+        i1, i2 = child.indices
+        center = (roots[i1] + roots[i2]) / 2
+        diff = roots[i1] - roots[i2]
+        a_const = (diff / 4) ** 2
     else:
-        flags.append("gamma-unknown")
+        center = roots[child.least]
+    gamma = _gamma_for(curve, tree, child, center)
+    if kind in (EVEN, WEIERSTRASS):
+        split = is_square(gamma)
+        if split:
+            alpha = sqrt(gamma)
+        else:
+            flags.append("non-split")
 
     if kind == ODD:
-        domain = ((d_par - v_gamma) / 2, (d_ch - v_gamma) / 2)
+        domain = ((d_par - gamma.valuation) / 2, (d_ch - gamma.valuation) / 2)
         count = 1
     elif kind == EVEN:
         domain = (d_par, d_ch)
-        count = None if split is None else (2 if split else 0)
+        count = 2 if split else 0
     else:
         domain = (d_par, 2 * d_ch - d_par)
-        count = None if split is None else (1 if split else 0)
+        count = 1 if split else 0
 
     return AnnulusDescriptor(
         kind=kind, theta0=child.indices, nu=nu, genus=g,
@@ -639,7 +585,7 @@ _MAX_DECOMPOSE_P = 1 << 16
 _MAX_DECOMPOSE_BITS = 1 << 13
 
 
-def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition:
+def decompose(curve: HyperellipticCurve) -> Decomposition:
     """Split P^1(Q_p) along the cluster tree into annuli and residue disks."""
     if curve.genus < 2:
         raise ValueError("decomposition needs genus >= 2")
@@ -655,7 +601,7 @@ def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition
         raise UnsupportedRegime(
             f"precision {curve.precision} is too large at p = {curve.p}: "
             f"residues mod p^precision must fit in {_MAX_DECOMPOSE_BITS} bits")
-    tree = build_cluster_tree(curve, valuation_matrix)
+    tree = build_cluster_tree(curve)
     flags = []
 
     annuli = []
@@ -680,14 +626,10 @@ def decompose(curve: HyperellipticCurve, valuation_matrix=None) -> Decomposition
     t_estimate = sum(1 for a in annuli if a.kind == EVEN)
 
     disks = None
-    if tree.roots is not None:
-        integral = all(r.valuation >= 0 for r in tree.roots)
-        if integral and root.depth == 0:
-            disks = _build_disk_regions(curve, tree, annuli, edge_index)
-        else:
-            flags.append("disks-skipped-nonintegral-or-deep-roots")
+    if all(r.valuation >= 0 for r in tree.roots) and root.depth == 0:
+        disks = _build_disk_regions(curve, tree, annuli, edge_index)
     else:
-        flags.append("disks-skipped-no-roots")
+        flags.append("disks-skipped-nonintegral-or-deep-roots")
 
     if iota_orbit_count > 2 * curve.genus - 1:
         flags.append("iota-orbit-bound-exceeded")
@@ -711,10 +653,9 @@ def pullback_differential(A: AnnulusDescriptor, u_tilde) -> "LaurentData":
     from .series import LaurentData, LaurentPoly
 
     g = A.genus
-    p = A.gamma.p if A.gamma is not None else (A.center.p if A.center else None)
-    if p is None:
-        raise MissingAlpha("annulus descriptor lacks its constants "
-                           "(built from a valuation matrix?)")
+    if A.gamma is None:
+        raise MissingAlpha("annulus descriptor lacks gamma")
+    p = A.gamma.p
     coeffs = [Fraction(c) for c in u_tilde]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -728,8 +669,6 @@ def pullback_differential(A: AnnulusDescriptor, u_tilde) -> "LaurentData":
 
     terms = {}
     if A.kind == ODD:
-        if A.gamma is None:
-            raise MissingAlpha("odd-case pullback needs gamma")
         for k, b in enumerate(coeffs):
             terms[2 * (k - A.nu)] = b * A.gamma ** (k - A.nu)
     elif A.kind == EVEN:

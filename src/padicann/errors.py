@@ -58,7 +58,7 @@ class WindowViolation(PadicannError, ValueError):
 # --- curve decomposition ----------------------------------------------------
 
 class NonSplitInput(PadicannError):
-    """The polynomial does not split over Q_p and no valuation matrix was given."""
+    """The polynomial does not split over Q_p at the working precision."""
 
 
 class UnsupportedRegime(PadicannError, ValueError):

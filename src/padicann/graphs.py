@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -131,10 +130,6 @@ class ArithGraph:
     def weighted_degree(self, i: int) -> int:
         """Sum of m(neighbor) * edge multiplicity over all incident edges."""
         return sum(self._vertices[j].m * mult for j, mult in self._adj[i])
-
-    def self_intersection(self, i: int) -> Fraction:
-        """Self-intersection number recovered from the adjunction relation."""
-        return Fraction(-self.weighted_degree(i), self._vertices[i].m)
 
     # -- validation ------------------------------------------------------------
 
@@ -473,13 +468,6 @@ def local_modification(graph: ArithGraph) -> ArithGraph:
 
 
 # -- generator -----------------------------------------------------------------
-
-
-def good_reduction_graph(genus: int) -> ArithGraph:
-    """The one-component fiber of a smooth curve of the given genus."""
-    if genus < 2:
-        raise ValueError("genus must be >= 2")
-    return ArithGraph([Vertex(1, genus, 2 * genus - 2)])
 
 
 class _Builder:

@@ -17,7 +17,6 @@ from padicann.bounds import (
     n_local_majorants,
     points_on_annuli_bound,
     points_on_disks_bound,
-    rho_image_laurent_bound,
     rholog_bounds,
     torsion_bound,
 )
@@ -152,7 +151,6 @@ def test_rholog_examples():
     assert b.disks_total == 222
     assert b.total == 984
     assert rholog_bounds(2).total == 353
-    assert rho_image_laurent_bound(4) == 15
     for g in range(2, 31):
         rb = rholog_bounds(g)
         assert rb.total == rb.disks_total + rb.core_annuli * rb.annulus

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import padicann
 import padicann.selftest
 from padicann.cli import main
-from padicann.graphs import good_reduction_graph
+from padicann.graphs import ArithGraph, Vertex
 from padicann.selftest import CriterionResult
 
 
@@ -143,11 +143,18 @@ def _run_cli(tmp_path, argv, job=None):
     # exponent notation would build a ten-million-digit integer
     (("search-points", "1e10000000,0,0,1", "--height", "2"), None),
     (("decompose",), {"p": 3, "f": ["1e10000000", "2", "0", "0", "0", "1"]}),
-    # v(a - b) = 0 < min(v(a - c), v(b - c)): no cluster tree exists
+    # the cluster tree is read off the roots alone: a hand-supplied matrix
+    # would be silently ignored, which answers another question, so it is
+    # refused (these curves decompose without it)
     (("decompose",), {"p": 3, "f": [str(c) for c in monic_from_roots([1, 2, 3, 4, 5])],
                       "valuation_matrix": [[0, 0, 1, 0, 0], [0, 0, 2, 0, 0],
                                            [1, 2, 0, 0, 0], [0, 0, 0, 0, 0],
                                            [0, 0, 0, 0, 0]]}),
+    (("pullback",), {"curve": {"p": 3, "f": OCTIC, "precision": 30},
+                     "annulus_index": 0, "u_tilde": ["1"],
+                     "valuation_matrix": [[0] * 8] * 8}),
+    (("verify-cover",), {"p": 3, "f": QUINTIC, "precision": 10,
+                         "valuation_matrix": [[0] * 5] * 5}),
     # int() would read m = 1, a valid genus-2 graph
     (("graph-check",), {"vertices": [{"m": 1.9, "pa": 2, "w": 2}], "edges": []}),
     # bool() would read "false" as true
@@ -167,7 +174,8 @@ def _run_cli(tmp_path, argv, job=None):
         "q-not-power-of-p", "p-float", "p-float-string", "p-bool",
         "prec-float", "N-float", "curve-p-float", "curve-precision-string",
         "annulus-index-float", "decompose-huge-p", "coefficient-exponent",
-        "curve-f-exponent", "matrix-not-ultrametric", "graph-m-float",
+        "curve-f-exponent", "matrix-not-ultrametric", "pullback-matrix",
+        "verify-cover-matrix", "graph-m-float",
         "include-lo-string", "verify-zeros-padic-term",
         "decompose-huge-precision", "decompose-huge-precision-large-p",
         "count-zeros-huge-prec", "count-zeros-huger-prec",
@@ -325,7 +333,7 @@ def test_integrate_bad_mode(capsys, tmp_path):
 
 def test_graph_check(capsys, tmp_path):
     path = tmp_path / "graph.json"
-    path.write_text(good_reduction_graph(4).to_json())
+    path.write_text(ArithGraph([Vertex(1, 4, 6)]).to_json())
     rep = run_json(capsys, "graph-check", str(path))
     assert rep["bounds"]["ok"] is True
     assert rep["bounds"]["genus"] == 4

@@ -80,7 +80,8 @@ def test_octic_named_clusters_present():
     # the size-3 cluster at depth 1 and its two-element sub-cluster at depth 2
     curve = curve_from_roots(OCTIC_ROOTS, 3)
     tree = build_cluster_tree(curve)
-    found = {tuple(node_values(tree, n)): n.depth for n in tree.proper_nodes()}
+    proper = [tree.root] + [child for _, child in tree.edges()]
+    found = {tuple(node_values(tree, n)): n.depth for n in proper}
     assert found[(0, 3, 9)] == 1
     assert found[(0, 9)] == 2
 
@@ -199,44 +200,6 @@ def test_non_split_iff_the_oracle_finds_fewer_roots(p, roots, cofactor):
     assert split == (enumerate_padic_zeros(f, p, (-w, w), N=30) == curve.degree)
 
 
-def test_valuation_matrix_mode():
-    curve = curve_from_roots(OCTIC_ROOTS, 3)
-    n = len(OCTIC_ROOTS)
-
-    def v3(x):
-        if x == 0:
-            return 99
-        v = 0
-        while x % 3 == 0:
-            x //= 3
-            v += 1
-        return v
-
-    matrix = [
-        [v3(OCTIC_ROOTS[i] - OCTIC_ROOTS[j]) if i != j else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    tree = build_cluster_tree(curve, matrix)
-    assert tree.roots is None
-    clusters = {tuple(n_.indices) for n_ in tree.proper_nodes()}
-    # indices refer to positions in the supplied matrix
-    assert (0, 1, 2) in clusters       # values 0, 3, 9
-    assert (0, 2) in clusters          # values 0, 9
-    assert (3, 5, 7) in clusters       # values 1, 4, 7
-    assert (4, 6) in clusters          # values 2, 5
-
-    bad = [row[:] for row in matrix]
-    bad[0][1] = 7
-    with pytest.raises(ValueError):
-        build_cluster_tree(curve, bad)
-
-    # v(0 - 9) = 0 is below v(0 - 3) = v(3 - 9) = 1: not ultrametric
-    bad = [row[:] for row in matrix]
-    bad[0][2] = bad[2][0] = 0
-    with pytest.raises(ValueError, match="ultrametric"):
-        build_cluster_tree(curve, bad)
-
-
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -350,28 +313,6 @@ def test_degree_two_root_vertex_merges_orbits():
     assert "root-degree-two-merged" in d.flags
 
 
-def test_matrix_mode_decomposition_has_no_constants():
-    curve = curve_from_roots(OCTIC_ROOTS, 3)
-    n = len(OCTIC_ROOTS)
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                diff = OCTIC_ROOTS[i] - OCTIC_ROOTS[j]
-                v = 0
-                while diff % 3 == 0:
-                    diff //= 3
-                    v += 1
-                matrix[i][j] = v
-    d = decompose(curve, valuation_matrix=matrix)
-    assert [a.kind for a in d.annuli] == [ODD, WEIERSTRASS, ODD, WEIERSTRASS]
-    assert all(a.gamma is None for a in d.annuli)
-    assert d.annuli[0].domain == (0, Fraction(1, 2))
-    assert d.disks is None
-    with pytest.raises(MissingAlpha):
-        pullback_differential(d.annuli[0], [1])
-
-
 def test_decompose_rejects_small_genus_and_p2():
     with pytest.raises(ValueError):
         decompose(curve_from_roots([0, 1, 3], 3))
@@ -459,6 +400,9 @@ def test_pullback_missing_alpha():
     B = _descriptor(WEIERSTRASS, 1, 3, a_const=None)
     with pytest.raises(MissingAlpha):
         pullback_differential(B, [0, 1])
+    C = _descriptor(ODD, 1, 3, gamma=None)
+    with pytest.raises(MissingAlpha):
+        pullback_differential(C, [1])
 
 
 def test_pullback_supports_stay_in_case_ranges():

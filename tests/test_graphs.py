@@ -15,7 +15,6 @@ from padicann.graphs import (
     Vertex,
     check_specialfiber_bounds,
     classify,
-    good_reduction_graph,
     local_modification,
     random_fiber_graph,
 )
@@ -62,7 +61,7 @@ def triple_point_fixture() -> ArithGraph:
 
 
 def test_good_reduction_validates():
-    g = good_reduction_graph(5)
+    g = ArithGraph([Vertex(1, 5, 8)])
     assert g.validate() == (5, 0, 5)
 
 
@@ -133,15 +132,6 @@ def test_constructor_rejections():
         ArithGraph([Vertex(1, 0, 0, (1, 7)), Vertex(1, 1, 1)])
 
 
-def test_self_intersection_matches_adjunction():
-    for g in (hub_fixture(), chain_fixture(), tangency_fixture()):
-        g.validate()
-        for i, v in enumerate(g.vertices):
-            assert g.self_intersection(i) == 2 * v.pa - v.w - 2
-    single = good_reduction_graph(4)
-    assert single.self_intersection(0) == 0
-
-
 # -- classification -----------------------------------------------------------
 
 
@@ -196,7 +186,7 @@ def test_annotation_on_double_edge_rejected():
 
 
 def test_good_reduction_bounds():
-    report = check_specialfiber_bounds(good_reduction_graph(5))
+    report = check_specialfiber_bounds(ArithGraph([Vertex(1, 5, 8)]))
     assert report["ok"]
     assert report["N"] == 1
     assert report["chain_count"] == 0
@@ -257,7 +247,7 @@ def test_extremal_genus3_tree_all_tight():
 
 def test_nothing_to_rewrite():
     with pytest.raises(NothingToRewrite):
-        local_modification(good_reduction_graph(3))
+        local_modification(ArithGraph([Vertex(1, 3, 4)]))
     with pytest.raises(NothingToRewrite):
         local_modification(chain_fixture())
 
@@ -337,7 +327,7 @@ def test_relation3_identity_on_fixtures():
         chain_fixture(),
         tangency_fixture(),
         triple_point_fixture(),
-        good_reduction_graph(7),
+        ArithGraph([Vertex(1, 7, 12)]),
     ):
         genus, t_prime, p_sum = g.validate()
         assert relation3_sum(g) == 2 * (genus - t_prime - p_sum)

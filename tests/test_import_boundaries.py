@@ -4,6 +4,10 @@ Shared helpers live in public modules (``padicann.intpoly`` for integer
 polynomials and valuations).  The allowlist names the private imports that
 are kept on purpose; an entry that no longer matches an import fails too,
 so the list cannot go stale.
+
+Every public module-level function and class has a caller in the package or
+in ``perfbench``, or is on the ``UNCALLED`` allowlist, which cannot go stale
+either.
 """
 
 import ast
@@ -15,6 +19,7 @@ from pathlib import Path
 import padicann
 
 PACKAGE = Path(padicann.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # (importing module, imported module, name)
 ALLOWED = set()
@@ -100,3 +105,36 @@ def test_root_finder_does_not_borrow_the_oracle_descent():
         elif isinstance(node, ast.Import):
             imported |= {a.name.rsplit(".", 1)[-1] for a in node.names}
     assert "oracle" not in imported
+
+
+# public names that only tests call, kept on purpose
+UNCALLED = {
+    "zero_bound_disk",            # the disk bound a per-curve sum will read
+    "lambda_zero_count_annulus",  # the per-annulus count a Chabauty sum will read
+    "teichmuller_decompose",      # the reference that log0 is tested against
+}
+
+
+def _named_outside_own_definition(paths):
+    """Every name read as a variable or attribute in these files, except
+    inside the module-level definition of that same name."""
+    named = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            here = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            here |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                here.discard(top.name)
+            named |= here
+    return named
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    sources = sorted(PACKAGE.glob("*.py"))
+    defined = {top.name for path in sources
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               and not top.name.startswith("_")}
+    uncalled = defined - _named_outside_own_definition(sources + sorted(PERFBENCH.glob("*.py")))
+    assert uncalled - UNCALLED == set(), "public names that only tests call"
+    assert UNCALLED - uncalled == set(), "allowlist entries that have a caller"

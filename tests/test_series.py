@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicann.bounds import Delta, delta, delta2_bound, zero_bound_disk
+from padicann.bounds import Delta, delta, zero_bound_disk
 from padicann.errors import (
     AllCoefficientsIndistinguishableFromZero,
     OutsideDomain,
@@ -194,10 +194,6 @@ class TestCorrections:
             delta(3, 2, 1)
         with pytest.raises(UnsupportedRegime):
             delta(2, 1, 1)
-
-    def test_delta2_bound(self):
-        assert delta2_bound(4) == 3
-        assert delta2_bound(3) == Fraction(5, 2)
 
     def test_Delta_example(self):
         assert Delta(3, 2, 3, 1) == 2
