@@ -26,9 +26,49 @@ SCHEMA = "padicann/1"
 # ---------------------------------------------------------------------------
 
 
-def _read_job(path: str) -> dict:
+# The keys each subcommand's job may carry.  A dict is a JSON object with
+# those keys, each value checked against its entry, "*" standing for any
+# key; [spec] is a list of such; None accepts any value.  A p-adic field
+# (_PADIC) may also be a rational literal, which has no keys to check.
+_PADIC = {"val": None, "unit": None, "prec": None}
+_CURVE = {"p": None, "f": None, "precision": None}
+_LAURENT = {"p": None, "prec": None, "terms": {"*": _PADIC}}
+_JOB_KEYS = {
+    "decompose": _CURVE,
+    "verify-cover": _CURVE,
+    "pullback": {"curve": _CURVE, "annulus_index": None, "u_tilde": None},
+    "count-zeros": dict(_LAURENT, window=None, include_lo=None, include_hi=None),
+    "verify-zeros": {"p": None, "prec": None, "terms": None, "window": None,
+                     "N": None},
+    "integrate": {"integrand": {"ell": _LAURENT, "c": _PADIC, "a": _PADIC,
+                                "domain": None},
+                  "xi0": _PADIC, "xi1": _PADIC, "mode": None},
+    "graph-check": {"vertices": [{"m": None, "pa": None, "w": None,
+                                  "case3_point_ids": None}],
+                    "edges": None},
+}
+
+
+def _refuse_unknown_keys(obj, spec, path: str) -> None:
+    """A key the job format does not name would be silently ignored, which
+    answers another question than the job asked; refuse it by its path."""
+    if isinstance(spec, dict) and isinstance(obj, dict):
+        for key, value in obj.items():
+            if key not in spec and "*" not in spec:
+                raise ValueError(f"unknown key {path + key!r}; expected one of "
+                                 f"{', '.join(sorted(spec))}")
+            _refuse_unknown_keys(value, spec.get(key, spec.get("*")),
+                                 f"{path}{key}.")
+    elif isinstance(spec, list) and isinstance(obj, list):
+        for i, item in enumerate(obj):
+            _refuse_unknown_keys(item, spec[0], f"{path}{i}.")
+
+
+def _read_job(path: str, command: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        job = json.load(fh)
+    _refuse_unknown_keys(job, _JOB_KEYS[command], "")
+    return job
 
 
 def _dump(obj) -> str:
@@ -49,15 +89,6 @@ def _padic_in(obj, name: str, p: int, prec: int) -> PAdic:
     if isinstance(obj, dict):
         return PAdic.from_json(obj, p)
     return PAdic.from_rational(as_rational(obj, name), p, prec)
-
-
-def _curve_job(obj: dict) -> dict:
-    """The job, unless it carries the removed ``valuation_matrix`` key:
-    ignoring that key would silently give another answer than it asked for."""
-    if "valuation_matrix" in obj:
-        raise ValueError("valuation_matrix is no longer accepted: the "
-                         "decomposition is read off the roots of f alone")
-    return obj
 
 
 def _flag(job: dict, key: str) -> bool:
@@ -118,7 +149,7 @@ def _bounds_table(rep) -> str:
 def _cmd_decompose(args) -> int:
     from .curves import HyperellipticCurve, decompose
 
-    dec = decompose(HyperellipticCurve.from_json(_curve_job(_read_job(args.curve))))
+    dec = decompose(HyperellipticCurve.from_json(_read_job(args.curve, "decompose")))
     _emit(dec.to_json())
     return 0
 
@@ -126,7 +157,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_pullback(args) -> int:
     from .curves import HyperellipticCurve, decompose, pullback_differential
 
-    job = _curve_job(_read_job(args.job))
+    job = _read_job(args.job, "pullback")
     dec = decompose(HyperellipticCurve.from_json(job["curve"]))
     idx = as_int(job["annulus_index"], "annulus_index")
     if not 0 <= idx < len(dec.annuli):
@@ -156,7 +187,7 @@ def _cmd_pullback(args) -> int:
 def _cmd_count_zeros(args) -> int:
     from .series import LaurentPoly, count_zeros_valuation_range
 
-    job = _read_job(args.job)
+    job = _read_job(args.job, "count-zeros")
     L = LaurentPoly.from_json(job)
     lo, hi = (as_rational(v, "window") for v in job["window"])
     include_lo, include_hi = _flag(job, "include_lo"), _flag(job, "include_hi")
@@ -183,7 +214,7 @@ def _cmd_integrate(args) -> int:
     )
     from .series import LaurentPoly
 
-    job = _read_job(args.job)
+    job = _read_job(args.job, "integrate")
     idef = job["integrand"]
     ell = LaurentPoly.from_json(idef["ell"])
     # rational points and constants are embedded at the integrand's precision
@@ -215,8 +246,7 @@ def _cmd_integrate(args) -> int:
 def _cmd_graph_check(args) -> int:
     from .graphs import ArithGraph, check_specialfiber_bounds, classify
 
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        graph = ArithGraph.from_json(fh.read())
+    graph = ArithGraph.from_dict(_read_job(args.graph, "graph-check"))
     cls = classify(graph)
     report = check_specialfiber_bounds(graph)
     _emit(
@@ -247,7 +277,7 @@ def _cmd_verify_cover(args) -> int:
     from .curves import HyperellipticCurve, decompose
     from .oracle import verify_decomposition_cover
 
-    curve = HyperellipticCurve.from_json(_curve_job(_read_job(args.curve)))
+    curve = HyperellipticCurve.from_json(_read_job(args.curve, "verify-cover"))
     _emit(verify_decomposition_cover(curve, decompose(curve)))
     return 0
 
@@ -256,7 +286,7 @@ def _cmd_verify_zeros(args) -> int:
     from .oracle import enumerate_padic_zeros
     from .series import LaurentPoly, count_zeros_valuation_range
 
-    job = _read_job(args.job)
+    job = _read_job(args.job, "verify-zeros")
     p = as_int(job["p"], "p")
     prec = as_int(job.get("prec", DEFAULT_PRECISION), "prec")
     # both sides read the same exact rationals; a {"val", "unit", "prec"}

@@ -27,7 +27,7 @@ from .intpoly import (
     squarefree_coefficients,
     vp,
 )
-from .scanner import scan_candidates
+from .scanner import bank_words, scan_candidates
 
 if TYPE_CHECKING:
     from .curves import Decomposition, HyperellipticCurve
@@ -40,11 +40,22 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """All rational points on y^2 = f(x) with x = a/b, |a|, b <= height."""
+    """All rational points on y^2 = f(x) with x = a/b, |a|, b <= height.
+
+    The stage counters say what the search did: the denominators b it
+    scanned, the pairs (a, b) those make, the pairs that passed the
+    modular sieve, the coprime ones among them, and the x = a/b it
+    confirmed (one or two points each).
+    """
 
     affine: Tuple[Tuple[Fraction, Fraction], ...]
     infinity_points: int
     height: int
+    denominators: int
+    pairs: int
+    survivors: int
+    coprime: int
+    confirmed: int
 
     @property
     def count(self) -> int:
@@ -56,7 +67,31 @@ class SearchResult:
             "infinity_points": self.infinity_points,
             "height": self.height,
             "affine": [[str(x), str(y)] for x, y in self.affine],
+            "stages": {
+                "denominators": self.denominators,
+                "pairs": self.pairs,
+                "survivors": self.survivors,
+                "coprime": self.coprime,
+                "confirmed": self.confirmed,
+            },
         }
+
+
+def _admissible_denominators(lc: int, height: int) -> List[int]:
+    """The b <= height, ascending, that an odd-degree point can have.
+
+    For odd n and x = a/b in lowest terms, f(x) is a square exactly when
+    b F(a, b) is one, with F(a, b) = sum_i c_i a^i b^(n-i).  F(a, b) is
+    lc a^n mod b, so gcd(b, F(a, b)) divides the leading coefficient lc,
+    and a prime that divides b but not lc divides b to an even power.  So
+    b = d k^2 with d a squarefree divisor of lc.  Every b = d k^2 with d
+    any divisor of lc is of that form, so the divisors need no factoring:
+    at most min(height, |lc|) trial divisions find them.
+    """
+    c = abs(lc)
+    return sorted({d * k * k
+                   for d in range(1, min(height, c) + 1) if c % d == 0
+                   for k in range(1, math.isqrt(height // d) + 1)})
 
 
 def search_rational_points(f, height: int) -> SearchResult:
@@ -66,7 +101,9 @@ def search_rational_points(f, height: int) -> SearchResult:
     it must be squarefree of degree >= 1.  The result is closed under
     (x, y) -> (x, -y) and sorted; points at infinity are counted
     separately (one for odd degree, two for even degree with square
-    leading coefficient, none otherwise).
+    leading coefficient, none otherwise).  For odd degree only the
+    denominators b = d k^2 with d | c_n are scanned, since no point has
+    another (``_admissible_denominators``).
     """
     coeffs = squarefree_coefficients(f, 1)
     if height < 1:
@@ -78,11 +115,23 @@ def search_rational_points(f, height: int) -> SearchResult:
     # scaled coefficients are integers.  Content is *not* divided out: that
     # would change the square class.
     ints = [c.numerator * (den // c.denominator) * den for c in coeffs]
+    lc = ints[-1]
+
+    if n % 2 == 1:
+        bank_words(height)  # refuse an oversized height before listing b
+        denominators = _admissible_denominators(lc, height)
+        candidates = scan_candidates(ints, height, denominators=denominators)
+        scanned = len(denominators)
+    else:
+        candidates = scan_candidates(ints, height)
+        scanned = height
 
     points = set()
-    for a, b in scan_candidates(ints, height):
+    coprime = confirmed = 0
+    for a, b in candidates:
         if math.gcd(a, b) != 1:
             continue
+        coprime += 1
         # G(a, b) = sum_i c_i a^i b^(2n-i); f(a/b) = G(a, b) / b^(2n)
         g = 0
         bpow = b**n
@@ -94,17 +143,19 @@ def search_rational_points(f, height: int) -> SearchResult:
         s = math.isqrt(g)
         if s * s != g:
             continue
+        confirmed += 1
         x = Fraction(a, b)
         y = Fraction(s, den * b**n)
         points.add((x, y))
         points.add((x, -y))
 
-    lc = ints[-1]
     if n % 2 == 1:
         inf = 1
     else:
         inf = 2 if lc > 0 and math.isqrt(lc) ** 2 == lc else 0
-    return SearchResult(tuple(sorted(points)), inf, height)
+    return SearchResult(tuple(sorted(points)), inf, height, scanned,
+                        scanned * (2 * height + 1), len(candidates), coprime,
+                        confirmed)
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,49 @@ def test_search_points_degree_16(capsys):
     assert rep["count"] == 4  # (0, +-1) and two points at infinity
 
 
+def test_search_points_reports_its_stages_byte_identically(tmp_path):
+    argv = ("search-points", "1,0,0,0,0,0,0,1", "--height", "2000")
+    first, second = _run_cli(tmp_path, argv), _run_cli(tmp_path, argv)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert json.loads(first.stdout)["stages"] == {
+        "denominators": 44, "pairs": 176_044, "survivors": 95, "coprime": 6,
+        "confirmed": 2}
+
+
+@pytest.mark.parametrize("command, job, key", [
+    # a misspelt precision would run at the default precision 20
+    ("decompose", {"p": 3, "f": QUINTIC, "precison": 5}, "'precison'"),
+    ("pullback", {"curve": {"p": 3, "f": OCTIC, "precision": 30,
+                            "valuation_matrix": [[0] * 8] * 8},
+                  "annulus_index": 0, "u_tilde": ["1"]},
+     "'curve.valuation_matrix'"),
+    ("verify-cover", {"p": 3, "f": QUINTIC, "precision": 10,
+                      "valuation_matrix": [[0] * 5] * 5}, "'valuation_matrix'"),
+    ("count-zeros", dict(_zeros_job(3), include_low=True), "'include_low'"),
+    ("count-zeros", dict(_zeros_job(3), terms={"0": {"val": "1", "unit": "-1",
+                                                     "prec": "20", "p": 3},
+                                               "1": "1"}), "'terms.0.p'"),
+    ("verify-zeros", dict(_zeros_job(3), n=6), "'n'"),
+    ("integrate", {"integrand": {"ell": {"p": 3, "terms": {"1": "1"}, "precision": 5},
+                                 "c": "0", "domain": ["0", "4"]},
+                   "xi0": "3", "xi1": "6"}, "'integrand.ell.precision'"),
+    ("integrate", {"integrand": {"ell": {"p": 3, "terms": {"1": "1"}}},
+                   "xi0": {"val": "1", "unit": "1", "prec": "20", "valuation": 1},
+                   "xi1": "6", "mode": "disk"}, "'xi0.valuation'"),
+    ("graph-check", {"vertices": [{"m": 1, "pa": 4, "w": 6, "genus": 4}],
+                     "edges": []}, "'vertices.0.genus'"),
+])
+def test_an_unknown_job_key_is_refused_by_name(capsys, tmp_path, command, job, key):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"unknown key {key}")
+
+
 @pytest.mark.parametrize("argv", [
     ("-5,1,0,4", "--height", "20"),
     ("--height", "20", "-5,1,0,4"),

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padicann import scanner
+from padicann import oracle, scanner
 from padicann.curves import HyperellipticCurve, decompose
 from padicann.errors import (
     CertificationFailed,
@@ -204,6 +207,35 @@ def test_kernel_no_false_negatives():
                     assert (a, b) in survivors, (coeffs, a, b)
 
 
+# ascending lists of b with gaps, a single b and none
+DENOMINATOR_LISTS = ([1, 4, 9, 16, 25, 36], [2, 3, 5, 8, 12, 18, 27, 32, 40],
+                     list(range(1, 41, 3)), [40], [])
+
+
+@pytest.mark.parametrize("coeffs", SCAN_INPUTS)
+@pytest.mark.parametrize("denominators", DENOMINATOR_LISTS)
+def test_kernel_parity_on_a_denominator_list(coeffs, denominators):
+    wanted = set(denominators)
+    expected = [ab for ab in _exact_filter(coeffs, 40) if ab[1] in wanted]
+    assert scan_candidates(coeffs, 40, denominators=denominators) == expected
+
+
+def test_kernel_parity_on_a_denominator_list_across_blocks(monkeypatch):
+    monkeypatch.setattr(scanner, "_BLOCK_CELLS", 200)
+    coeffs, denominators = [3, -2, 0, 1, 0, 5], DENOMINATOR_LISTS[1]
+    expected = [ab for ab in _exact_filter(coeffs, 40) if ab[1] in denominators]
+    assert scan_candidates(coeffs, 40, denominators=denominators) == expected
+
+
+def test_kernel_strength_on_the_septic_squares():
+    # y^2 = x^7 + 1 is monic, so a point's b is a square: the 44 squares
+    # up to 2000 keep 95 pairs, against 4,263 over every b
+    squares = [k * k for k in range(1, 45)]
+    out = scan_candidates([1, 0, 0, 0, 0, 0, 0, 1], 2000, denominators=squares)
+    assert len(out) == 95
+    assert {(0, 1), (-1, 1)} <= set(out)
+
+
 # ---------------------------------------------------------------------------
 # rational point search
 # ---------------------------------------------------------------------------
@@ -313,6 +345,103 @@ def test_search_result_dict():
     d = search_rational_points([1, 0, 0, 0, 0, 0, 0, 1], 10).to_dict()
     assert d["count"] == 4 and d["infinity_points"] == 1
     assert ["0", "1"] in d["affine"]
+
+
+def test_search_result_stage_counters():
+    # the septic is monic: only the 44 squares b <= 2000 are scanned, each
+    # over the 4,001 values of a; 95 pairs pass the sieve, 6 of them coprime,
+    # and x = 0 and x = -1 are confirmed
+    r = search_rational_points([1, 0, 0, 0, 0, 0, 0, 1], 2000)
+    assert r.to_dict()["stages"] == {
+        "denominators": 44, "pairs": 176_044, "survivors": 95, "coprime": 6,
+        "confirmed": 2}
+    # even degree scans every b
+    r = search_rational_points([1, 0, 0, 0, 0, 0, 1], 5)
+    assert (r.denominators, r.pairs) == (5, 5 * 11)
+    assert r.confirmed == 1 and r.coprime <= r.survivors <= r.pairs
+
+
+def test_a_height_over_the_cap_is_refused_before_listing_denominators(monkeypatch):
+    def fail(lc, height):
+        raise AssertionError("the denominators were listed")
+
+    monkeypatch.setattr(oracle, "_admissible_denominators", fail)
+    with pytest.raises(UnsupportedRegime, match="sieve bank"):
+        search_rational_points([1, 0, 0, 0, 0, 0, 0, 1], 10**30)
+
+
+def _square_free_part_divides(b, lc):
+    """Whether d | lc, where b = d k^2 with d squarefree; d by trial
+    division of b."""
+    d, q = 1, 2
+    while q * q <= b:
+        while b % (q * q) == 0:
+            b //= q * q
+        if b % q == 0:
+            b //= q
+            d *= q
+        q += 1
+    return lc % (d * b) == 0
+
+
+@given(
+    body=st.lists(st.integers(-20, 20), min_size=9, max_size=9),
+    degree=st.sampled_from((1, 3, 5, 7, 9)),
+    lc=st.sampled_from((1, -1, 2, -8, 12, 18, 27, 50)),
+    height=st.integers(1, 30),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_odd_degree_point_has_an_admissible_denominator(body, degree, lc, height):
+    # the oracle here is direct: b^n F(a, b) a square, F(a, b) the binary
+    # form of f, and b tested by its own trial division
+    coeffs, n = body[:degree] + [lc], degree
+    admissible = oracle._admissible_denominators(lc, height)
+    assert admissible == sorted(set(admissible))
+    assert admissible == [b for b in range(1, height + 1)
+                          if _square_free_part_divides(b, abs(lc))]
+    for b in range(1, height + 1):
+        for a in range(-height, height + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            F = sum(c * a**i * b ** (n - i) for i, c in enumerate(coeffs))
+            w = b**n * F
+            if w >= 0 and math.isqrt(w) ** 2 == w:
+                assert b in admissible, (coeffs, a, b)
+
+
+def _brute_force_points(f, height):
+    """perfbench's gcd/isqrt brute force on den^2 f, whose points are
+    (x, den y) for the points (x, y) of y^2 = f(x)."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        from checks import brute_force_points
+    finally:
+        sys.path.pop(0)
+    f = [Fraction(c) for c in f]
+    den = math.lcm(*(c.denominator for c in f))
+    points, inf = brute_force_points([c * den * den for c in f], height)
+    return {(x, y / den) for x, y in points}, inf
+
+
+def test_search_matches_the_benchmark_brute_force_on_seeded_curves():
+    rng = random.Random(18)
+    checked = 0
+    for i in range(60):
+        deg = 3 + i % 6  # both parities
+        lc = Fraction(rng.choice((1, -1, 2, -8, 12, 18, -18, 27, 50)))
+        f = [Fraction(rng.randint(-5, 5)) for _ in range(deg)] + [lc]
+        if i % 3 == 0:  # rational coefficients: den^2 scaling changes c_n
+            f = [c / rng.choice((1, 2, 3, 4)) for c in f]
+        h = rng.choice((7, 12, 18))
+        try:
+            r = search_rational_points(f, h)
+        except ValueError:
+            continue  # not squarefree
+        points, inf = _brute_force_points(f, h)
+        assert set(r.affine) == points, f
+        assert r.infinity_points == inf
+        checked += 1
+    assert checked >= 50
 
 
 # ---------------------------------------------------------------------------
