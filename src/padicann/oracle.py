@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import CertificationFailed, CoverageGap, DoubleCover
@@ -27,7 +27,6 @@ from .intpoly import (
     squarefree_coefficients,
     vp,
 )
-from .scanner import bank_words, scan_candidates
 
 if TYPE_CHECKING:
     from .curves import Decomposition, HyperellipticCurve
@@ -94,6 +93,41 @@ def _admissible_denominators(lc: int, height: int) -> List[int]:
                    for k in range(1, math.isqrt(height // d) + 1)})
 
 
+def _even_degree_denominators(lc: int, height: int) -> List[int]:
+    """The b <= height, ascending, that an even-degree point can have.
+
+    For even n and x = a/b in lowest terms, f(x) is a square exactly when
+    F(a, b) = sum_i c_i a^i b^(n-i) is one, and F(a, b) is lc a^n mod b
+    with a^n a square prime to b.  So an odd prime q of b with q not
+    dividing lc needs lc to be a square mod q.  For odd lc, 4 | b needs
+    lc = 1 mod 4 and 8 | b needs lc = 1 mod 8, since an odd square is 1
+    mod 8.  One sieve finds the odd primes q <= height, and the multiples
+    of each q (and of 4 or 8) that fail are struck.
+    """
+    keep = bytearray([1]) * (height + 1)
+    keep[0] = 0
+    if lc % 2:
+        m = 4 if lc % 4 != 1 else 8 if lc % 8 != 1 else 0
+        if m:
+            keep[m::m] = bytes(height // m)
+    prime = bytearray([1]) * (height + 1)
+    for q in range(3, math.isqrt(height) + 1, 2):
+        if prime[q]:
+            prime[q * q::q] = bytes((height - q * q) // q + 1)
+    for q in compress(range(3, height + 1, 2), prime[3::2]):
+        if lc % q and pow(lc, (q - 1) // 2, q) != 1:
+            keep[q::q] = bytes(height // q)
+    return list(compress(range(height + 1), keep))
+
+
+def scan_candidates(coeffs, height, denominators=None):
+    """``scanner.scan_candidates``, under the name the point search calls,
+    so a wrapper set on the oracle sees every scan.  The scanner, and
+    NumPy with it, is imported by the first call, not with the oracle."""
+    from .scanner import scan_candidates as sieve
+    return sieve(coeffs, height, denominators)
+
+
 def search_rational_points(f, height: int) -> SearchResult:
     """Exhaustive point search on y^2 = f(x) over x of height <= ``height``.
 
@@ -101,10 +135,13 @@ def search_rational_points(f, height: int) -> SearchResult:
     it must be squarefree of degree >= 1.  The result is closed under
     (x, y) -> (x, -y) and sorted; points at infinity are counted
     separately (one for odd degree, two for even degree with square
-    leading coefficient, none otherwise).  For odd degree only the
-    denominators b = d k^2 with d | c_n are scanned, since no point has
-    another (``_admissible_denominators``).
+    leading coefficient, none otherwise).  Only the denominators b that a
+    point can have are scanned: for odd degree the b = d k^2 with d | c_n
+    (``_admissible_denominators``), for even degree the b whose odd primes
+    not dividing c_n have c_n as a square (``_even_degree_denominators``).
     """
+    from .scanner import bank_words
+
     coeffs = squarefree_coefficients(f, 1)
     if height < 1:
         raise ValueError("height must be >= 1")
@@ -117,14 +154,13 @@ def search_rational_points(f, height: int) -> SearchResult:
     ints = [c.numerator * (den // c.denominator) * den for c in coeffs]
     lc = ints[-1]
 
+    bank_words(height)  # refuse an oversized height before listing b
     if n % 2 == 1:
-        bank_words(height)  # refuse an oversized height before listing b
         denominators = _admissible_denominators(lc, height)
-        candidates = scan_candidates(ints, height, denominators=denominators)
-        scanned = len(denominators)
     else:
-        candidates = scan_candidates(ints, height)
-        scanned = height
+        denominators = _even_degree_denominators(lc, height)
+    candidates = scan_candidates(ints, height, denominators)
+    scanned = len(denominators)
 
     points = set()
     coprime = confirmed = 0

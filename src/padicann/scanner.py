@@ -10,17 +10,20 @@ pairs of the 8,002,000 pass.
 
 The scan covers every b in [1, H] unless the caller passes an ascending
 list of ``denominators``; then only those rows of b are ANDed, and each
-survivor's b is read from the list.  The point search passes, for odd
-degree, the b = d k^2 with d | c_n that a point can have: on the septic
-the 44 squares up to 2000, whose 176,044 pairs keep 95.
+survivor's b is read from the list.  The point search passes the b that
+a point can have: for odd degree the b = d k^2 with d | c_n, on the
+septic the 44 squares up to 2000, whose 176,044 pairs keep 95; for even
+degree the b whose odd primes not dividing c_n have c_n as a square.
 
 G(a, b) mod p depends only on (a mod p, b mod p), so each prime needs
-one p x p boolean table "G mod p is a square".  Gathering its columns
-over a in [-H, H] gives a bank of p rows indexed by b mod p; the filter
-for one b is then one row per prime, ANDed together.  This is the
-per-prime square-table sieve of Stoll's ``ratpoints``.  As there, the
-rows are packed 64 values of a to a machine word, so the AND runs over
-words and only the words left nonzero are unpacked.
+one p x p boolean table "G mod p is a square".  Over a in [-H, H] its
+rows repeat with period p, so repeating the table side by side and
+starting at column -H mod p gives a bank of p rows indexed by b mod p,
+by plain memory copies; the filter for one b is then one row per prime,
+ANDed together.  This is the per-prime square-table sieve of Stoll's
+``ratpoints``.  As there, the rows are packed 64 values of a to a machine
+word, so the AND runs over words and only the words left nonzero are
+unpacked.
 
 A table needs only f on the p residues: for b != 0 mod p,
 G(a, b) = b^(2n) f(a/b) and b^(2n) is a nonzero square, so the entry is
@@ -44,7 +47,8 @@ _BLOCK_CELLS = 1 << 20
 
 # cells (bools, one byte each) per block of bank columns: all the bank's
 # rows over a run of 64-cell words, packed in one call; bounds that bool
-# array, and the run each prime's rows are copied from, near 256 KB
+# array near 256 KB, and about as much the repeated tables each prime's
+# rows are copied from, a block and at most 2p - 2 cells wide
 _GATHER_CELLS = 1 << 18
 
 # the scan's bank holds p rows per prime p, one per residue of b; the
@@ -125,34 +129,31 @@ def _bank(coeffs, height, words):
     is a square; the padding bits past a = height are 0.
 
     The bank is built a block of words at a time in one bool array, which
-    is packed once.  A prime's rows repeat with period p in a, so they are
-    gathered from the tables only once, over the first block and p - 1
-    cells more, and a later block, which starts at a residue s, copies
-    cells s ... of that run.
+    is packed once.  A prime's rows repeat with period p in a, so its p x p
+    table is repeated, by one broadcast copy, into a buffer at least a
+    block and p - 1 cells wide; a block whose first cell is a = s copies
+    its rows from that buffer starting at column s mod p.
     """
     tables = _tables(coeffs)
     bank = np.empty((_BANK_ROWS, 8 * words), dtype=np.uint8)
     step = max(1, _GATHER_CELLS // (64 * _BANK_ROWS))
     span = 64 * min(step, words)
-    extra = max(SCAN_MODULI) - 1 if words > step else 0
-    runs = np.empty((_BANK_ROWS, span + extra), dtype=bool)
-    a = np.arange(-height, span + extra - height, dtype=np.int64)
-    for table, residues, start, p in zip(tables, a % _MODULI_COLUMN,
-                                         _OFFSETS.tolist(), SCAN_MODULI):
-        table.take(residues, axis=1, out=runs[start:start + p])
-    cells = np.empty((_BANK_ROWS, span), dtype=bool) if extra else None
+    live = min(span, 2 * height + 1)  # the most cells of a block inside the box
+    tiles = []
+    for table, p in zip(tables, SCAN_MODULI):
+        reps = -(-(live + p - 1) // p)
+        tile = np.empty((p, reps, p), dtype=bool)
+        tile[...] = table[:, None, :]
+        tiles.append(tile.reshape(p, reps * p))
+    block = np.empty((_BANK_ROWS, span), dtype=bool)
     for w0 in range(0, words, step):
         w1 = min(w0 + step, words)
-        n = 64 * (w1 - w0)
-        if w0 == 0:
-            block = runs[:, :n]
-        else:
-            block = cells[:, :n]
-            for start, p in zip(_OFFSETS.tolist(), SCAN_MODULI):
-                s = 64 * w0 % p
-                block[start:start + p] = runs[start:start + p, s:s + n]
-        block[:, 2 * height + 1 - 64 * w0:] = False
-        bank[:, 8 * w0:8 * w1] = np.packbits(block, axis=1)
+        n = min(64 * (w1 - w0), 2 * height + 1 - 64 * w0)
+        for tile, start, p in zip(tiles, _OFFSETS.tolist(), SCAN_MODULI):
+            s = (64 * w0 - height) % p
+            block[start:start + p, :n] = tile[:, s:s + n]
+        block[:, n:] = False
+        bank[:, 8 * w0:8 * w1] = np.packbits(block[:, :64 * (w1 - w0)], axis=1)
     return bank.view(np.uint64)
 
 

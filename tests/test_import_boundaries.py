@@ -52,8 +52,9 @@ def test_no_private_cross_module_imports():
 
 def test_oracle_takes_only_the_audited_types_from_curves():
     # the oracle checks the decomposition and the Newton counts and must not
-    # borrow their machinery: at run time it reads errors, intpoly and
-    # scanner only; the audited types are named for type checkers alone
+    # borrow their machinery: at import it reads errors and intpoly only,
+    # the scanner is imported inside the two functions that run a scan, and
+    # the audited types are named for type checkers alone
     tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
     runtime, typing_only = set(), set()
     for node in tree.body:
@@ -62,10 +63,28 @@ def test_oracle_takes_only_the_audited_types_from_curves():
         elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
             typing_only |= {(_source_module(n), a.name) for n in node.body
                             for a in n.names}
-    assert runtime == {"errors", "intpoly", "scanner"}
+    assert runtime == {"errors", "intpoly"}
     assert typing_only == {("curves", "Decomposition"), ("curves", "HyperellipticCurve")}
+    in_functions = {(top.name, _source_module(n)) for top in tree.body
+                    if isinstance(top, ast.FunctionDef) for n in ast.walk(top)
+                    if isinstance(n, ast.ImportFrom) and _source_module(n)}
+    assert in_functions == {("search_rational_points", "scanner"),
+                            ("scan_candidates", "scanner")}
     taken = {mod for src, mod, _ in package_imports() if src == "oracle"}
-    assert taken == runtime | {"curves"}
+    assert taken == runtime | {"curves", "scanner"}
+
+
+def test_numpy_is_loaded_only_when_a_search_runs():
+    # the scanner is the one module that needs NumPy
+    code = ("import sys, padicann.curves, padicann.series, padicann.integration, "
+            "padicann.oracle, padicann.bounds, padicann.graphs, padicann.cli, "
+            "padicann.selftest; print('numpy' in sys.modules); "
+            "padicann.oracle.search_rational_points([1, 0, 0, 1], 2); "
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_importing_the_oracle_loads_neither_curves_nor_series():

@@ -164,6 +164,15 @@ def test_kernel_matches_residue_filter_over_many_blocks(coeffs):
     assert scan_candidates(coeffs, 2100) == _residue_filter(coeffs, 2100)
 
 
+# banks narrower than the largest prime: the box's 2h + 1 cells hold at
+# most one period of a prime's table
+@pytest.mark.parametrize("h", (1, 2, 3, 7, 30))
+@given(coeffs=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12))
+@settings(max_examples=8, deadline=None)
+def test_kernel_matches_residue_filter_on_narrow_banks(h, coeffs):
+    assert scan_candidates(coeffs, h) == _residue_filter(coeffs, h)
+
+
 def test_kernel_parity_across_gather_blocks(monkeypatch):
     # one word of every bank row gathered and packed per block
     monkeypatch.setattr(scanner, "_GATHER_CELLS", 1)
@@ -355,7 +364,7 @@ def test_search_result_stage_counters():
     assert r.to_dict()["stages"] == {
         "denominators": 44, "pairs": 176_044, "survivors": 95, "coprime": 6,
         "confirmed": 2}
-    # even degree scans every b
+    # even degree: c_n = 1 is a square mod every prime, so every b is scanned
     r = search_rational_points([1, 0, 0, 0, 0, 0, 1], 5)
     assert (r.denominators, r.pairs) == (5, 5 * 11)
     assert r.confirmed == 1 and r.coprime <= r.survivors <= r.pairs
@@ -407,6 +416,77 @@ def test_every_odd_degree_point_has_an_admissible_denominator(body, degree, lc, 
             w = b**n * F
             if w >= 0 and math.isqrt(w) ** 2 == w:
                 assert b in admissible, (coeffs, a, b)
+
+
+def _even_rule_allows(b, lc):
+    """Whether no prime of b rules b out for an even-degree point: an odd
+    prime q of b with q not dividing lc needs lc to be a square mod q, and
+    for odd lc, 4 | b needs lc = 1 mod 4 and 8 | b needs lc = 1 mod 8.
+    Primes by trial division, squares by listing them."""
+    if lc % 2 and (b % 4 == 0 and lc % 4 != 1 or b % 8 == 0 and lc % 8 != 1):
+        return False
+    odd_primes = [q for q in range(3, b + 1, 2)
+                  if b % q == 0 and all(q % r for r in range(3, q, 2))]
+    return all(lc % q == 0 or lc % q in {r * r % q for r in range(q)}
+               for q in odd_primes)
+
+
+@given(
+    body=st.lists(st.integers(-20, 20), min_size=8, max_size=8),
+    degree=st.sampled_from((2, 4, 6, 8)),
+    lc=st.sampled_from((1, -1, 2, -3, 5, -7, 6, 12, -27, 17, 9, 25)),
+    height=st.integers(1, 30),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_even_degree_point_has_an_admissible_denominator(body, degree, lc, height):
+    # F(a, b) = sum_i c_i a^i b^(n-i) is a square at every point x = a/b
+    coeffs, n = body[:degree] + [lc], degree
+    admissible = oracle._even_degree_denominators(lc, height)
+    assert admissible == [b for b in range(1, height + 1) if _even_rule_allows(b, lc)]
+    for b in range(1, height + 1):
+        for a in range(-height, height + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            F = sum(c * a**i * b ** (n - i) for i, c in enumerate(coeffs))
+            if F >= 0 and math.isqrt(F) ** 2 == F:
+                assert b in admissible, (coeffs, a, b)
+
+
+@st.composite
+def even_degree_planted_curves(draw):
+    """(f, h, x0): f of even degree with a non-square c_n, and c_0 chosen
+    (a rational) so that x0 = a/b is a point of y^2 = f(x)."""
+    deg = draw(st.sampled_from((2, 4, 6, 8)))
+    f = [Fraction(c) for c in draw(st.lists(st.integers(-4, 4), min_size=deg,
+                                            max_size=deg))]
+    f.append(Fraction(draw(st.sampled_from((-1, 2, -3, 5, -7, 6, -27, 17)))))
+    h = draw(st.integers(1, 12))
+    x0 = Fraction(draw(st.integers(-h, h)), draw(st.integers(1, h)))
+    y0 = draw(st.fractions(min_value=0, max_value=20, max_denominator=9))
+    f[0] += y0 * y0 - sum(c * x0**i for i, c in enumerate(f))
+    return f, h, x0
+
+
+@given(even_degree_planted_curves())
+@settings(max_examples=80, deadline=None)
+def test_even_degree_search_finds_every_point_of_the_scan_over_all_b(case):
+    # the naive search scans every b; the search skips the b that the even
+    # degree rule rules out, and must still find every point
+    f, h, x0 = case
+    try:
+        r = search_rational_points(f, h)
+    except ValueError:
+        assume(False)  # not squarefree
+    assert set(r.affine) == _naive_points(f, h)
+    assert x0 in {x for x, _ in r.affine}
+
+
+def test_even_degree_search_skips_the_ruled_out_denominators():
+    # c_n = -7: an odd prime q != 7 of b needs -7 to be a square mod q, and
+    # -7 = 1 mod 8 puts no condition on the power of 2; 81 of 300 b remain
+    r = search_rational_points([1, 0, 0, 0, 0, 0, -7], 300)
+    assert (r.denominators, r.pairs) == (81, 81 * 601)
+    assert (Fraction(0), Fraction(1)) in r.affine
 
 
 def _brute_force_points(f, height):
