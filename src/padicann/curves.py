@@ -29,10 +29,11 @@ from .intpoly import (
     as_int,
     as_rational,
     clear_denominators,
-    common_denominator,
     is_prime,
+    is_qp_square,
     poly_derivative,
     poly_eval,
+    square_scaled,
     squarefree_coefficients,
     vp,
 )
@@ -62,37 +63,39 @@ def _newton_refine(coeffs, deriv, a: int, vd: int, p: int, target: int) -> int:
     return x % p**target
 
 
-def _taylor_shift(coeffs: Sequence, a) -> List:
-    """f(a), f'(a), f''(a)/2, ..., the coefficients of f(a + w): repeated
-    synthetic division by x - a, on rationals and a PAdic center."""
+def _taylor_terms(coeffs: Sequence, a):
+    """f(a), f'(a), f''(a)/2, ..., the coefficients of f(a + w), one per
+    pass of synthetic division by x - a, on ints, rationals and a PAdic
+    center.
+
+    Each pass adds ``a`` times the entry above, starting from the top
+    coefficient itself, so a PAdic center never meets an exact zero that
+    would embed that coefficient at the default precision.
+    """
     c = list(coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += a * c[j + 1]
-    return c
+        yield c[i]
+    yield c[-1]
 
 
 def _roots_in_class(coeffs: Sequence[int], a: int, p: int, k: int, v0) -> int:
     """The last i minimizing v(f_i) + ik, f_i = f^(i)(a)/i! and v0 = v(f_0).
 
-    f_i comes from the i-th pass of synthetic division by x - a.  Once
-    ik exceeds the least value so far, no later i can reach it, so the
-    passes stop there, and each valuation is read only as far as it
-    could tie that least value.
+    Once ik exceeds the least value so far, no later i can reach it, so
+    the Taylor terms are read no further, and each valuation is read only
+    as far as it could tie that least value.
     """
-    c = list(coeffs)
-    top = len(c) - 1
-    for j in range(top - 1, -1, -1):          # pass 0 leaves c[0] = f(a)
-        c[j] += a * c[j + 1]
     best, inside = v0, 0
-    for i in range(1, top + 1):
-        if i * k > best:
-            break
-        for j in range(top - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
-        w = vp(c[i], p, best - i * k + 1) + i * k
+    terms = _taylor_terms(coeffs, a)
+    next(terms)                                # f_0 = f(a)
+    for i, fi in enumerate(terms, 1):          # v0 >= k, so f_1 is read
+        w = vp(fi, p, best - i * k + 1) + i * k
         if w <= best:
             best, inside = w, i
+        if (i + 1) * k > best:
+            break
     return inside
 
 
@@ -192,6 +195,8 @@ class HyperellipticCurve:
     """y^2 = f(x) with rational coefficients, over Q_p."""
 
     def __init__(self, f_coefficients, p: int, precision: int = DEFAULT_PRECISION):
+        if precision < 1:
+            raise ValueError(f"precision must be at least 1, got {precision}")
         self.f = coeffs = squarefree_coefficients(f_coefficients, 3)
         self.p = p
         self.precision = precision
@@ -270,35 +275,17 @@ class ClusterTree:
         return out
 
 
-def _difference(a: PAdic, b: PAdic):
-    """a - b for nonzero a, b as integers (val, unit, rel), or None when
-    a - b is zero at its precision: the element ``a - b`` would give."""
-    p = a.p
-    va, vb = a.valuation, b.valuation
-    base, n = min(va, vb), min(a.prec, b.prec)
-    s = a.unit_residue() * p ** (va - base) - b.unit_residue() * p ** (vb - base)
-    t = vp(s, p, n - base)
-    if base + t >= n:
-        return None
-    return base + t, s // p**t, n - base - t
-
-
 def _matrix_from_roots(roots: List[PAdic]):
     n = len(roots)
     m = [[INF] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if roots[i].is_zero() or roots[j].is_zero():
-                diff = roots[i] - roots[j]
-                v = None if diff.is_zero() else diff.valuation
-            else:
-                d = _difference(roots[i], roots[j])
-                v = None if d is None else d[0]
-            if v is None:
+            diff = roots[i] - roots[j]
+            if diff.is_zero():
                 raise PrecisionInsufficient(
                     f"roots {i} and {j} are indistinguishable at this precision"
                 )
-            m[i][j] = m[j][i] = v
+            m[i][j] = m[j][i] = diff.valuation
     return m
 
 
@@ -421,30 +408,12 @@ class Decomposition:
 
 
 def _gamma_for(curve, tree, child: ClusterNode, center: PAdic) -> PAdic:
-    """lc * prod (center - theta_j) over the roots outside the child.
-
-    With nonzero factors this is one integer product of their units, known
-    to their least relative precision: the element the PAdic products give.
-    """
-    p = curve.p
-    lc = PAdic.from_rational(curve.leading_coefficient, p, curve.precision)
-    outside = [theta for j, theta in enumerate(tree.roots) if j not in child.indices]
-    diffs = [None]
-    if not any(x.is_zero() for x in (lc, center, *outside)):
-        diffs = [_difference(center, theta) for theta in outside]
-    if None in diffs:
-        gamma = lc
-        for theta in outside:
+    """lc * prod (center - theta_j) over the roots outside the child."""
+    gamma = PAdic.from_rational(curve.leading_coefficient, curve.p, curve.precision)
+    for j, theta in enumerate(tree.roots):
+        if j not in child.indices:
             gamma = gamma * (center - theta)
-        return gamma
-    val, rel = lc.valuation, lc.rel_prec
-    for v, _, r in diffs:
-        val, rel = val + v, min(rel, r)
-    mod = p**rel
-    unit = lc.unit_residue()
-    for _, u, _ in diffs:
-        unit = unit * u % mod
-    return PAdic(p, val, unit, val + rel)
+    return gamma
 
 
 def _classify_edge(curve, tree, parent: ClusterNode,
@@ -506,39 +475,21 @@ def _classify_edge(curve, tree, parent: ClusterNode,
     )
 
 
-def _free_disk_count(scaled_f: List[int], p: int, x_lift: int) -> int:
-    """Curve components over a branch-point-free residue disk: 2 or 0.
-
-    ``scaled_f`` is f times a square integer, so f(x) and its value have
-    one square class: a square in Q_p (p odd) iff its valuation is even and
-    its unit part a square mod p.
-    """
-    value = poly_eval(scaled_f, x_lift)
-    if value == 0:
-        raise ValueError("free disk contains a branch point")
-    v = vp(value, p)
-    if v % 2:
-        return 0
-    return 2 if pow(value // p**v % p, (p - 1) // 2, p) == 1 else 0
-
-
 def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
     p = curve.p
     regions: List[DiskRegion] = []
+    # f and its integer multiple have one square class at every x
+    _, scaled_f = square_scaled(curve.f)
 
     if curve.has_infinite_branch_point:
         regions.append(DiskRegion("infinity", None, None, 1, True))
     else:
-        lc = curve.leading_coefficient
-        lc_square = is_square(PAdic.from_rational(lc, p, vp(lc, p) + 1))
+        lc_square = is_qp_square(scaled_f[-1], p)
         regions.append(
             DiskRegion("infinity", None, None, 2 if lc_square else 0, lc_square)
         )
 
     lifts = [int(r.lift()) for r in tree.roots]
-    # f times the square of its common denominator has integer coefficients
-    den = common_denominator(curve.f)
-    scaled_f = [c.numerator * (den // c.denominator) * den for c in curve.f]
 
     def walk(node: ClusterNode):
         d = int(node.depth)
@@ -551,7 +502,7 @@ def _build_disk_regions(curve, tree, annuli, edge_index) -> List[DiskRegion]:
             ch = occupied.get(s)
             if ch is None:
                 x_s = base + s * p**d
-                cnt = _free_disk_count(scaled_f, p, x_s)
+                cnt = 2 if is_qp_square(poly_eval(scaled_f, x_s), p) else 0
                 regions.append(
                     DiskRegion("free", Fraction(d), x_s, cnt, cnt > 0)
                 )
@@ -665,7 +616,7 @@ def pullback_differential(A: AnnulusDescriptor, u_tilde) -> "LaurentData":
         return LaurentData(LaurentPoly(p, {}), A.domain)
 
     if A.center is not None and not A.center.is_exact_zero():
-        coeffs = _taylor_shift(coeffs, A.center)   # u~(center + w) in w
+        coeffs = list(_taylor_terms(coeffs, A.center))   # u~(center + w) in w
 
     terms = {}
     if A.kind == ODD:

@@ -11,7 +11,6 @@ configurations into honest A^1-chains hanging off a multiplicity-2 component.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -171,18 +170,6 @@ class ArithGraph:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        verts = []
-        for v in self._vertices:
-            d: dict = {"m": v.m, "pa": v.pa, "w": v.w}
-            if v.case3_point_ids is not None:
-                d["case3_point_ids"] = list(v.case3_point_ids)
-            verts.append(d)
-        return {"vertices": verts, "edges": [list(e) for e in self.edges()]}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ArithGraph":
         try:
@@ -193,14 +180,6 @@ class ArithGraph:
         verts = [Vertex(d["m"], d["pa"], d["w"], d.get("case3_point_ids"))
                  for d in raw_verts]
         return cls(verts, raw_edges)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ArithGraph":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArithGraph({len(self._vertices)} vertices, {self.edges()})"

@@ -1,8 +1,8 @@
 """Integer and rational polynomials (ascending coefficient lists).
 
 The one place that parses curve coefficients and integer and rational
-inputs, clears denominators and computes p-adic valuations, for the
-curves, the oracles and ``padic``.
+inputs, clears denominators and computes p-adic valuations and the square
+class of an integer, for the curves, the oracles and ``padic``.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 INF = math.inf
 
@@ -127,6 +127,26 @@ def common_denominator(coeffs: Sequence[Fraction]) -> int:
     for c in coeffs:
         den = math.lcm(den, c.denominator)
     return den
+
+
+def square_scaled(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """``(den, den^2 f)`` for the common denominator den of f's coefficients.
+
+    The scaled coefficients are integers, and y^2 = f(x) and (den y)^2 =
+    (den^2 f)(x) have the same points.  Content is *not* divided out: that
+    would change the square class.
+    """
+    den = common_denominator(coeffs)
+    return den, [c.numerator * (den // c.denominator) * den for c in coeffs]
+
+
+def is_qp_square(n: int, p: int) -> bool:
+    """Whether a nonzero integer is a square in Q_p, p odd: its valuation is
+    even and its unit part a square mod p (Euler's criterion)."""
+    if n == 0:
+        raise ValueError("zero has no square class")
+    v = vp(n, p)
+    return v % 2 == 0 and pow(n // p**v % p, (p - 1) // 2, p) == 1
 
 
 def clear_denominators(coeffs: Sequence[Fraction]) -> List[int]:

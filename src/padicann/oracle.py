@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from .errors import CertificationFailed, CoverageGap, DoubleCover
 from .intpoly import (
     clear_denominators,
-    common_denominator,
+    square_scaled,
     squarefree_coefficients,
     vp,
 )
@@ -147,11 +147,7 @@ def search_rational_points(f, height: int) -> SearchResult:
         raise ValueError("height must be >= 1")
 
     n = len(coeffs) - 1
-    den = common_denominator(coeffs)
-    # y^2 = f(x) and (den*y)^2 = (den^2 f)(x) have the same points, and the
-    # scaled coefficients are integers.  Content is *not* divided out: that
-    # would change the square class.
-    ints = [c.numerator * (den // c.denominator) * den for c in coeffs]
+    den, ints = square_scaled(coeffs)
     lc = ints[-1]
 
     bank_words(height)  # refuse an oversized height before listing b

@@ -21,7 +21,7 @@ from .errors import (
     ProvisionalPolygon,
     UnsupportedRegime,
 )
-from .intpoly import INF, as_int, as_rational
+from .intpoly import as_int, as_rational
 from .padic import DEFAULT_PRECISION, PAdic
 
 
@@ -119,39 +119,11 @@ class LaurentPoly:
         return LaurentPoly(self.p, {n - 1: c * n for n, c in self.terms.items() if n != 0})
 
     def evaluate(self, x: PAdic) -> PAdic:
-        """The sum of c_n x^n; needs x nonzero if negative exponents occur.
-
-        For x = p^v u + O(p^(v + r)) each term c_n x^n is p^(v(c_n) + nv)
-        c_n' u^n, known to min(r, the relative precision of c_n) digits, and
-        an O(p^N) coefficient gives O(p^(N + nv)); so the value is one
-        integer sum, reduced to the least of those absolute precisions, the
-        same element that adding up ``c * x**n`` gives term by term.
-        """
-        if x.is_zero() or not self.terms:
-            total = PAdic.zero(self.p)
-            for n, c in self.terms.items():
-                total = total + c * x**n
-            return total
-        if x.p != self.p:
-            raise ValueError(f"mixed primes {self.p} and {x.p}")
-        p, v, u, r = self.p, x.valuation, x.unit_residue(), x.rel_prec
-        prec = INF
-        parts = []
+        """The sum of c_n x^n; needs x nonzero if negative exponents occur."""
+        total = PAdic.zero(self.p)
         for n, c in self.terms.items():
-            if c.is_zero():
-                prec = min(prec, c.prec + n * v)
-            else:
-                val = c.valuation + n * v
-                prec = min(prec, val + min(c.rel_prec, r))
-                parts.append((val, n, c.unit_residue()))
-        if not parts:
-            return PAdic.inexact_zero(p, prec)
-        base = min(val for val, _, _ in parts)
-        if prec <= base:
-            return PAdic.inexact_zero(p, prec)
-        mod = p ** (prec - base)
-        total = sum(w * pow(u, n, mod) * p ** (val - base) for val, n, w in parts)
-        return PAdic(p, base, total, prec)
+            total = total + c * x**n
+        return total
 
     def __repr__(self):
         if not self.terms:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import padicann
 import padicann.selftest
 from padicann.cli import main
-from padicann.graphs import ArithGraph, Vertex
 from padicann.selftest import CriterionResult
 
 
@@ -165,6 +164,9 @@ def _run_cli(tmp_path, argv, job=None):
     # the root finder's cost grows faster than the size of p^precision
     (("decompose",), {"p": 3, "f": QUINTIC, "precision": 100000}),
     (("decompose",), {"p": 65521, "f": QUINTIC, "precision": 10000}),
+    # no digit is known below precision 1; p**-3 would be a float
+    (("decompose",), {"p": 3, "f": QUINTIC, "precision": 0}),
+    (("decompose",), {"p": 3, "f": QUINTIC, "precision": -3}),
     # residues mod 3^prec: 18 s at 10^7, killed at 10^8
     (("count-zeros",), dict(_zeros_job(3), prec=10**7)),
     (("count-zeros",), dict(_zeros_job(3), prec=10**8)),
@@ -178,6 +180,7 @@ def _run_cli(tmp_path, argv, job=None):
         "verify-cover-matrix", "graph-m-float",
         "include-lo-string", "verify-zeros-padic-term",
         "decompose-huge-precision", "decompose-huge-precision-large-p",
+        "decompose-precision-zero", "decompose-precision-negative",
         "count-zeros-huge-prec", "count-zeros-huger-prec",
         "search-points-huge-height"])
 def test_bad_input_is_a_quick_json_error(tmp_path, argv, job):
@@ -333,7 +336,7 @@ def test_integrate_bad_mode(capsys, tmp_path):
 
 def test_graph_check(capsys, tmp_path):
     path = tmp_path / "graph.json"
-    path.write_text(ArithGraph([Vertex(1, 4, 6)]).to_json())
+    path.write_text(json.dumps({"vertices": [{"m": 1, "pa": 4, "w": 6}], "edges": []}))
     rep = run_json(capsys, "graph-check", str(path))
     assert rep["bounds"]["ok"] is True
     assert rep["bounds"]["genus"] == 4

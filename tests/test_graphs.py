@@ -336,16 +336,18 @@ def test_relation3_identity_on_fixtures():
 # -- serialization ------------------------------------------------------------
 
 
-def test_json_roundtrip_preserves_annotation():
-    g = triple_point_fixture()
-    back = ArithGraph.from_json(g.to_json())
-    assert back.to_dict() == g.to_dict()
-    assert back.vertices[2].case3_point_ids == (0, 1)
+def test_from_dict_preserves_annotation():
+    g = ArithGraph.from_dict({
+        "vertices": [{"m": 1, "pa": 1, "w": 2}, {"m": 1, "pa": 1, "w": 2},
+                     {"m": 1, "pa": 0, "w": 0, "case3_point_ids": [0, 1]}],
+        "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1]],
+    })
+    assert g.vertices == triple_point_fixture().vertices
+    assert g.edges() == triple_point_fixture().edges()
+    assert g.vertices[2].case3_point_ids == (0, 1)
 
 
-def test_from_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        ArithGraph.from_json("{")
+def test_from_dict_rejects_malformed():
     with pytest.raises(ValueError):
         ArithGraph.from_dict({"edges": []})
     with pytest.raises(ValueError):

@@ -126,6 +126,24 @@ def test_root_finder_does_not_borrow_the_oracle_descent():
     assert "oracle" not in imported
 
 
+def test_only_padic_builds_padic_elements_from_their_parts():
+    # val, unit and prec follow one set of precision rules, in padic: other
+    # modules use its arithmetic and constructors, never the raw parts
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "padic":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if isinstance(fn, ast.Attribute) and fn.attr == "unit_residue":
+                found.add((path.stem, "unit_residue", node.lineno))
+            elif isinstance(fn, ast.Name) and fn.id == "PAdic":
+                found.add((path.stem, "PAdic", node.lineno))
+    assert found == set()
+
+
 # public names that only tests call, kept on purpose
 UNCALLED = {
     "zero_bound_disk",            # the disk bound a per-curve sum will read

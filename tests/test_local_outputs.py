@@ -6,9 +6,8 @@ p = 3, 5 and 7: each ``Decomposition.to_json()`` and cover audit, each
 pullback ``LaurentPoly.to_json()``, its ``formal_integrate`` split and
 Newton zero count, ``integrate_annulus`` between points of the annulus,
 and Newton and enumerated zero counts of planted-root polynomials.  The
-integer kernels under these (powers, ``log0``, evaluation, the root
-finder, the free-disk test) must leave every ``val``, ``unit`` and
-``prec`` as it was.  Errors enter the record by class name.
+integer kernels under these (powers, ``log0``, the root finder) must
+leave every ``val``, ``unit`` and ``prec`` as it was.  Errors enter the record by class name.
 
 ``PARENT_SHA256`` is the hash the object-arithmetic pipeline gave, when
 ``x ** 0`` was 1 at the absolute precision of x.  Now it is 1 at the

@@ -18,6 +18,7 @@ from padicann.errors import (
     OddPrimeRequired,
     ZeroArgument,
 )
+from padicann.intpoly import is_qp_square
 from padicann.padic import (
     PAdic,
     is_square,
@@ -274,6 +275,9 @@ def test_is_square_of_one_digit_matches_euler(p, num, den, v):
     x = Fraction(num, den) * Fraction(p) ** v
     assert vp(x, p) == v
     assert is_square(PAdic.from_rational(x, p, vp(x, p) + 1)) == _square_by_euler(x, p)
+    # the integer test that the decomposition's regions use
+    n = num * p ** abs(v)
+    assert is_qp_square(n, p) == is_square(PAdic.from_rational(n, p, vp(n, p) + 1))
 
 
 @given(st.integers(min_value=1, max_value=10**6))

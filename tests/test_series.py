@@ -273,8 +273,8 @@ class TestAlgebra:
     @settings(max_examples=300, deadline=None)
     def test_evaluate_is_the_term_by_term_padic_sum(self, data):
         # definite and O(p^N) coefficients, always a z^0 term, and a point
-        # known to finitely many digits: the one integer sum must give the
-        # element that adding up c * x**n gives, with the same val, unit, prec
+        # known to finitely many digits: evaluate must give the element that
+        # adding up c * x**n gives, with the same val, unit, prec
         p = data.draw(st.sampled_from((2, 3, 5, 10007)))
         unit = st.integers(1, 10**12).filter(lambda u: u % p)
 
