@@ -248,18 +248,18 @@ def _cmd_graph_check(args) -> int:
 
     graph = ArithGraph.from_dict(_read_job(args.graph, "graph-check"))
     cls = classify(graph)
-    report = check_specialfiber_bounds(graph)
     _emit(
         {
-            "vertices": graph.n_vertices,
+            "vertices": len(graph.vertices),
             "classification": {
-                "minus_two_vertices": cls.N,
+                # the multiplicity-1 (-2)-curves: each is in a chain or an A^1 case
+                "minus_two_vertices": sum(map(len, cls.chains)) + cls.a1_outside_chains,
                 "chains": [list(c) for c in cls.chains],
                 "case2": list(cls.case2),
                 "case3": list(cls.case3),
                 "case4": list(cls.case4),
             },
-            "bounds": report,
+            "bounds": check_specialfiber_bounds(cls),
         },
     )
     return 0

@@ -214,13 +214,6 @@ class HyperellipticCurve:
     def has_infinite_branch_point(self) -> bool:
         return self.degree % 2 == 1
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "f": [str(c) for c in self.f],
-            "precision": self.precision,
-        }
-
     @classmethod
     def from_json(cls, obj):
         return cls(

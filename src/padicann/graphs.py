@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     BoundViolated,
@@ -52,13 +52,11 @@ class ArithGraph:
 
     def __init__(
         self,
-        vertices: Sequence[Union[Vertex, Tuple[int, int, int]]],
+        vertices: Sequence[Vertex],
         edges: Iterable[Sequence[int]] = (),
     ) -> None:
         verts: List[Vertex] = []
         for v in vertices:
-            if not isinstance(v, Vertex):
-                v = Vertex(*v)
             ids = v.case3_point_ids
             v = Vertex(as_int(v.m, "m"), as_int(v.pa, "pa"), as_int(v.w, "w"),
                        None if ids is None
@@ -112,10 +110,6 @@ class ArithGraph:
     def vertices(self) -> Tuple[Vertex, ...]:
         return self._vertices
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self._vertices)
-
     def edges(self) -> List[EdgeTriple]:
         return sorted((a, b, m) for (a, b), m in self._edges.items())
 
@@ -139,7 +133,7 @@ class ArithGraph:
         the loop rank of the graph with edges counted by multiplicity, and the
         plain sum of the per-component arithmetic genera.
         """
-        n = self.n_vertices
+        n = len(self._vertices)
         seen = {0}
         stack = [0]
         while stack:
@@ -190,19 +184,18 @@ class ArithGraph:
 
 @dataclass(frozen=True)
 class FiberClassification:
-    """Chains and A^1-component cases of the multiplicity-1 (-2)-curves."""
+    """Chains and A^1-component cases of the multiplicity-1 (-2)-curves of
+    ``graph``, with the ``(genus, t_prime, p_sum)`` its ``validate()`` gave."""
 
+    graph: ArithGraph
+    genus: int
+    t_prime: int
+    p_sum: int
     N: int
     chains: Tuple[Tuple[int, ...], ...]
     case2: Tuple[int, ...]
     case3: Tuple[int, ...]
     case4: Tuple[int, ...]
-    t_prime: int
-    p_sum: int
-
-    @property
-    def a1_components(self) -> Dict[int, Tuple[int, ...]]:
-        return {2: self.case2, 3: self.case3, 4: self.case4}
 
     @property
     def a1_outside_chains(self) -> int:
@@ -294,20 +287,16 @@ def classify(graph: ArithGraph) -> FiberClassification:
         )
 
     return FiberClassification(
-        N=N,
+        graph=graph, genus=g, t_prime=t_prime, p_sum=p_sum, N=N,
         chains=tuple(sorted(chains)),
-        case2=tuple(case2),
-        case3=tuple(case3),
-        case4=tuple(case4),
-        t_prime=t_prime,
-        p_sum=p_sum,
+        case2=tuple(case2), case3=tuple(case3), case4=tuple(case4),
     )
 
 
 # -- structural bounds ---------------------------------------------------------
 
 
-def check_specialfiber_bounds(graph: ArithGraph) -> dict:
+def check_specialfiber_bounds(cls: FiberClassification) -> dict:
     """Verify the three count bounds a special fiber must satisfy.
 
     Checks ``N <= 2g - 2``, ``#chains <= N - 1 + t'``, and that the number of
@@ -316,9 +305,14 @@ def check_specialfiber_bounds(graph: ArithGraph) -> dict:
     triple-point configurations rewritten (each rewrite lowers the loop rank
     by one), which is the graph the A^1 bound actually applies to; the
     report's ``u_source`` names it.
+
+    >>> chain = ArithGraph([Vertex(1, 2, 3), Vertex(1, 0, 0), Vertex(1, 0, 0),
+    ...                     Vertex(1, 2, 3)], [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    >>> report = check_specialfiber_bounds(classify(chain))
+    >>> report["chain_count"], report["chain_bound"], report["ok"]
+    (1, 1, True)
     """
-    g, t_prime, p_sum = graph.validate()
-    cls = classify(graph)
+    g, t_prime, p_sum = cls.genus, cls.t_prime, cls.p_sum
     a1 = cls.a1_outside_chains
     n_rewrites = len(cls.case3) + len(cls.case4)
     u = g - (t_prime - n_rewrites) - p_sum
@@ -354,8 +348,8 @@ def check_specialfiber_bounds(graph: ArithGraph) -> dict:
 # -- local modification --------------------------------------------------------
 
 
-def local_modification(graph: ArithGraph) -> ArithGraph:
-    """Rewrite every case-3 and case-4 configuration.
+def local_modification(cls: FiberClassification) -> ArithGraph:
+    """Rewrite every case-3 and case-4 configuration of ``cls.graph``.
 
     A triple point (case 3) is replaced by a multiplicity-2 hub joining the
     two ambient components, with two new (-2)-leaves; the (-2)-curve through
@@ -365,99 +359,53 @@ def local_modification(graph: ArithGraph) -> ArithGraph:
     the hub.  Both rewrites preserve the intersection relations and the
     genus, and strictly increase the A^1-component count (1 -> 2 and 1 -> 3).
     """
-    cls = classify(graph)
     if not cls.case3 and not cls.case4:
         raise NothingToRewrite("no case-3 or case-4 configuration present")
-
-    verts: List[Vertex] = list(graph.vertices)
-    emap: Dict[Tuple[int, int], int] = {
-        key: mult for key, mult in graph._edges.items()
-    }
-    removed: set = set()
-
-    def add_vertex(v: Vertex) -> int:
-        verts.append(v)
-        return len(verts) - 1
-
-    def remove_units(a: int, b: int, k: int) -> None:
-        key = _edge_key(a, b)
-        have = emap.get(key, 0)
-        if have < k:
-            raise ValueError(
-                f"edge {key} is shared between overlapping rewrites; "
-                f"configurations must be edge-disjoint"
-            )
-        if have == k:
-            del emap[key]
-        else:
-            emap[key] = have - k
-
-    def add_units(a: int, b: int, k: int = 1) -> None:
-        key = _edge_key(a, b)
-        emap[key] = emap.get(key, 0) + k
-
+    graph = cls.graph
+    state = _Builder.of(graph)
     for x in cls.case3:
         y1, y2 = graph.vertices[x].case3_point_ids  # type: ignore[misc]
-        remove_units(x, y1, 1)
-        remove_units(x, y2, 1)
-        remove_units(y1, y2, 1)
-        removed.add(x)
-        hub = add_vertex(Vertex(2, 0, 0))
-        leaf1 = add_vertex(Vertex(1, 0, 0))
-        leaf2 = add_vertex(Vertex(1, 0, 0))
-        add_units(hub, y1)
-        add_units(hub, y2)
-        add_units(hub, leaf1)
-        add_units(hub, leaf2)
-
+        state.remove_edge(x, y1, 1)
+        state.remove_edge(x, y2, 1)
+        state.remove_edge(y1, y2, 1)
+        state.removed.add(x)
+        state.add_hub(y1, y2)
     for x in cls.case4:
         ((y, mult),) = graph.neighbors(x)
         assert mult == 2
-        remove_units(x, y, 2)
-        hub = add_vertex(Vertex(2, 0, 0))
-        leaf1 = add_vertex(Vertex(1, 0, 0))
-        leaf2 = add_vertex(Vertex(1, 0, 0))
-        add_units(y, hub)
-        add_units(hub, x)
-        add_units(hub, leaf1)
-        add_units(hub, leaf2)
-
-    old_to_new: Dict[int, int] = {}
-    out_verts: List[Vertex] = []
-    for i, v in enumerate(verts):
-        if i in removed:
-            continue
-        old_to_new[i] = len(out_verts)
-        out_verts.append(v)
-    for idx, v in enumerate(out_verts):
-        ids = v.case3_point_ids
-        if ids is None:
-            continue
-        if any(j not in old_to_new for j in ids):
-            # Stale annotation on a non-(-2) vertex whose reference vanished.
-            out_verts[idx] = Vertex(v.m, v.pa, v.w)
-        else:
-            out_verts[idx] = Vertex(
-                v.m, v.pa, v.w, tuple(old_to_new[j] for j in ids)
-            )
-    out_edges = [
-        (old_to_new[a], old_to_new[b], mult) for (a, b), mult in emap.items()
-    ]
-    return ArithGraph(out_verts, out_edges)
+        state.remove_edge(x, y, 2)
+        state.add_hub(y, x)
+    return state.graph()
 
 
 # -- generator -----------------------------------------------------------------
 
 
 class _Builder:
-    """Mutable scratch state for the random generator."""
+    """Mutable vertex and edge lists: the generator grows a graph in one, and
+    ``local_modification`` rewrites a copy of its input in another."""
 
-    def __init__(self, genus: int) -> None:
-        self.verts: List[List[int]] = [[1, genus, 2 * genus - 2]]
+    def __init__(self) -> None:
+        self.verts: List[List[int]] = []
         self.annot: Dict[int, Tuple[int, int]] = {}
         self.edges: Dict[Tuple[int, int], int] = {}
         self.reserved: Dict[Tuple[int, int], int] = {}
-        self.genus = genus
+        self.removed: set = set()
+
+    @classmethod
+    def of(cls, graph: ArithGraph) -> "_Builder":
+        state = cls()
+        for i, v in enumerate(graph.vertices):
+            state.add_vertex(v.m, v.pa, v.w)
+            if v.case3_point_ids is not None:
+                state.annot[i] = v.case3_point_ids
+        state.edges = dict(graph._edges)
+        return state
+
+    @property
+    def genus(self) -> int:
+        """From sum(m*w) = 2g - 2, which every generator move keeps."""
+        return 1 + sum(m * w for m, _, w in self.verts) // 2
 
     def eligible(self) -> List[int]:
         return [
@@ -474,13 +422,43 @@ class _Builder:
         key = _edge_key(a, b)
         self.edges[key] = self.edges.get(key, 0) + k
 
+    def remove_edge(self, a: int, b: int, k: int) -> None:
+        key = _edge_key(a, b)
+        have = self.edges.get(key, 0)
+        if have < k:
+            raise ValueError(
+                f"edge {key} is shared between overlapping rewrites; "
+                f"configurations must be edge-disjoint"
+            )
+        if have == k:
+            del self.edges[key]
+        else:
+            self.edges[key] = have - k
+
+    def add_hub(self, *ends: int) -> None:
+        """A multiplicity-2 hub joined to ``ends`` and to 4 - len(ends) new
+        (-2)-leaves."""
+        hub = self.add_vertex(2, 0, 0)
+        for end in ends:
+            self.add_edge(end, hub)
+        for _ in range(4 - len(ends)):
+            self.add_edge(hub, self.add_vertex(1, 0, 0))
+
     def graph(self) -> ArithGraph:
-        verts = [
-            Vertex(m, pa, w, self.annot.get(i))
-            for i, (m, pa, w) in enumerate(self.verts)
-        ]
+        """The graph without the removed vertices and the annotations that
+        name one of them."""
+        kept = [i for i in range(len(self.verts)) if i not in self.removed]
+        new = {old: i for i, old in enumerate(kept)}
+
+        def ids(i: int) -> Optional[Tuple[int, int]]:
+            pair = self.annot.get(i)
+            if pair is None or any(j not in new for j in pair):
+                return None
+            return (new[pair[0]], new[pair[1]])
+
+        verts = [Vertex(*self.verts[i], ids(i)) for i in new]
         return ArithGraph(
-            verts, [(a, b, mult) for (a, b), mult in self.edges.items()]
+            verts, [(new[a], new[b], k) for (a, b), k in self.edges.items()]
         )
 
 
@@ -490,7 +468,6 @@ def _move_leaf(state: _Builder, rng: random.Random, budget: int) -> None:
     b = state.add_vertex(1, pa, 2 * pa - 1)
     state.add_edge(a, b)
     state.verts[a][2] += 1
-    state.genus += pa
 
 
 def _move_edge(state: _Builder, rng: random.Random) -> bool:
@@ -501,19 +478,13 @@ def _move_edge(state: _Builder, rng: random.Random) -> bool:
     state.add_edge(a, b)
     state.verts[a][2] += 1
     state.verts[b][2] += 1
-    state.genus += 1
     return True
 
 
 def _move_hub(state: _Builder, rng: random.Random) -> None:
     a = rng.choice(state.eligible())
-    hub = state.add_vertex(2, 0, 0)
-    state.add_edge(a, hub)
-    for _ in range(3):
-        leaf = state.add_vertex(1, 0, 0)
-        state.add_edge(hub, leaf)
+    state.add_hub(a)
     state.verts[a][2] += 2
-    state.genus += 1
 
 
 def _move_tangency(state: _Builder, rng: random.Random) -> None:
@@ -521,7 +492,6 @@ def _move_tangency(state: _Builder, rng: random.Random) -> None:
     x = state.add_vertex(1, 0, 0)
     state.add_edge(a, x, 2)
     state.verts[a][2] += 2
-    state.genus += 1
 
 
 def _move_triple_point(state: _Builder, rng: random.Random) -> bool:
@@ -538,7 +508,6 @@ def _move_triple_point(state: _Builder, rng: random.Random) -> bool:
     state.reserved[key] = state.reserved.get(key, 0) + 1
     state.verts[a][2] += 2
     state.verts[b][2] += 2
-    state.genus += 2
     return True
 
 
@@ -546,7 +515,6 @@ def _move_pa_bump(state: _Builder, rng: random.Random) -> None:
     a = rng.choice(state.eligible())
     state.verts[a][1] += 1
     state.verts[a][2] += 2
-    state.genus += 1
 
 
 def _move_chain_insert(state: _Builder, rng: random.Random) -> bool:
@@ -561,12 +529,8 @@ def _move_chain_insert(state: _Builder, rng: random.Random) -> bool:
     ]
     if not candidates:
         return False
-    key = candidates[rng.randrange(len(candidates))]
-    a, b = key
-    if state.edges[key] == 1:
-        del state.edges[key]
-    else:
-        state.edges[key] -= 1
+    a, b = candidates[rng.randrange(len(candidates))]
+    state.remove_edge(a, b, 1)
     prev = a
     for _ in range(rng.randint(1, 3)):
         x = state.add_vertex(1, 0, 0)
@@ -591,7 +555,8 @@ def random_fiber_graph(
         raise ValueError("max_genus must be >= 2")
     g0 = rng.randint(2, min(3, max_genus))
     target = rng.randint(g0, max_genus)
-    state = _Builder(g0)
+    state = _Builder()
+    state.add_vertex(1, g0, 2 * g0 - 2)
     while state.genus < target:
         budget = target - state.genus
         moves = ["leaf", "hub", "tangency", "pa"]

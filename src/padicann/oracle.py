@@ -120,7 +120,7 @@ def _even_degree_denominators(lc: int, height: int) -> List[int]:
     return list(compress(range(height + 1), keep))
 
 
-def scan_candidates(coeffs, height, denominators=None):
+def scan_candidates(coeffs, height, denominators):
     """``scanner.scan_candidates``, under the name the point search calls,
     so a wrapper set on the oracle sees every scan.  The scanner, and
     NumPy with it, is imported by the first call, not with the oracle."""

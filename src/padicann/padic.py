@@ -169,10 +169,6 @@ class PAdic:
             raise ZeroArgument("a zero has no unit part")
         return self._unit
 
-    def residue(self) -> int:
-        """Reduction of the unit part modulo p (in [1, p-1])."""
-        return self.unit_residue() % self.p
-
     def lift(self) -> Fraction:
         """The canonical rational representative p^val * unit."""
         if self._val is None:
@@ -212,13 +208,29 @@ class PAdic:
         return NotImplemented
 
     def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._add(self, -1)
+
+    def _add(self, other, sign: int):
+        """``self + sign * other`` for sign = +-1: a difference is formed in
+        the integer sum, without building ``-other``."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check_same_p(other)
         a, b = self, other
         if a.is_exact_zero():
-            return b
+            return b if sign > 0 else -b
         if b.is_exact_zero():
             return a
         if a._val is None or b._val is None:
@@ -226,29 +238,20 @@ class PAdic:
             x = a if b._val is None else b
             if x._val is None:   # both inexact zeros
                 return PAdic.inexact_zero(self.p, int(n))
-            return x.at_precision(int(min(n, x.prec)))
+            unit = -x._unit if x is b and sign < 0 else x._unit
+            return PAdic(self.p, x._val, unit, int(min(n, x.prec)))
         n = min(a._prec, b._prec)
         base = min(a._val, b._val)
         # each prec exceeds its own val, so n - base >= 1 and the sum is
         # integral; __init__ reduces it mod p^(n - base) and strips p from it
-        s = a._unit * self.p ** (a._val - base) + b._unit * self.p ** (b._val - base)
+        s = (a._unit * self.p ** (a._val - base)
+             + sign * b._unit * self.p ** (b._val - base))
         return PAdic(self.p, base, s, n)
-
-    __radd__ = __add__
 
     def __neg__(self):
         if self._val is None:
             return self
         return PAdic(self.p, self._val, -self._unit, self._prec)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)

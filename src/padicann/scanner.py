@@ -168,13 +168,13 @@ def bank_words(height):
     return words
 
 
-def scan_candidates(coeffs, height, denominators=None):
+def scan_candidates(coeffs, height, denominators):
     """Return [(a, b), ...] passing all modular square filters.
 
     ``coeffs`` are the integer coefficients of f, ascending, degree n =
-    len(coeffs) - 1.  Scans a in [-height, height] for every b in
-    [1, height], or, when ``denominators`` is given, for the b in that
-    ascending list (each in [1, height]) only.  Survivors are listed b-major
+    len(coeffs) - 1.  Scans a in [-height, height] for the b in
+    ``denominators``, an ascending sequence of integers in [1, height]
+    (``range(1, height + 1)`` for every b).  Survivors are listed b-major
     in the order the b are scanned, a ascending.  gcd screening and the
     exact perfect-square confirmation are left to the caller.
     """
@@ -182,10 +182,7 @@ def scan_candidates(coeffs, height, denominators=None):
         return []
     words = bank_words(height)
     bank = _bank(coeffs, height, words)
-    if denominators is None:
-        denominators = np.arange(1, height + 1, dtype=np.int64)
-    else:
-        denominators = np.asarray(denominators, dtype=np.int64)
+    denominators = np.asarray(denominators, dtype=np.int64)
 
     block = max(1, _BLOCK_CELLS // (64 * words))
     out = []

@@ -340,7 +340,23 @@ def test_graph_check(capsys, tmp_path):
     rep = run_json(capsys, "graph-check", str(path))
     assert rep["bounds"]["ok"] is True
     assert rep["bounds"]["genus"] == 4
-    assert rep["classification"]["minus_two_vertices"] == 1
+    # one genus-4 component: no (-2)-curve, and N = 1 component with w > 0
+    assert rep["classification"]["minus_two_vertices"] == 0
+    assert rep["bounds"]["N"] == 1
+
+
+def test_graph_check_counts_the_minus_two_curves(capsys, tmp_path):
+    # a multiplicity-2 hub with three (-2)-leaves on a genus-2 component
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({
+        "vertices": [{"m": 1, "pa": 2, "w": 4}, {"m": 2, "pa": 0, "w": 0}]
+                    + [{"m": 1, "pa": 0, "w": 0}] * 3,
+        "edges": [[0, 1, 1], [1, 2, 1], [1, 3, 1], [1, 4, 1]],
+    }))
+    rep = run_json(capsys, "graph-check", str(path))
+    assert rep["classification"]["case2"] == [2, 3, 4]
+    assert rep["classification"]["minus_two_vertices"] == 3
+    assert rep["bounds"]["N"] == 1
 
 
 def test_graph_check_rejects_bad_relation(capsys, tmp_path):

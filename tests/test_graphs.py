@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -140,7 +142,7 @@ def test_chain_classification():
     assert cls.chains == ((1, 2),)
     assert cls.a1_outside_chains == 0
     assert cls.N == 2
-    assert cls.a1_components == {2: (), 3: (), 4: ()}
+    assert cls.case2 == cls.case3 == cls.case4 == ()
 
 
 def test_hub_leaves_are_case2():
@@ -186,7 +188,7 @@ def test_annotation_on_double_edge_rejected():
 
 
 def test_good_reduction_bounds():
-    report = check_specialfiber_bounds(ArithGraph([Vertex(1, 5, 8)]))
+    report = check_specialfiber_bounds(classify(ArithGraph([Vertex(1, 5, 8)])))
     assert report["ok"]
     assert report["N"] == 1
     assert report["chain_count"] == 0
@@ -194,13 +196,13 @@ def test_good_reduction_bounds():
 
 
 def test_chain_bound_is_tight():
-    report = check_specialfiber_bounds(chain_fixture())
+    report = check_specialfiber_bounds(classify(chain_fixture()))
     assert report["chain_count"] == 1
     assert report["chain_bound"] == 1
 
 
 def test_hub_bound_is_tight_with_proxy():
-    report = check_specialfiber_bounds(hub_fixture())
+    report = check_specialfiber_bounds(classify(hub_fixture()))
     assert report["u_source"] == "proxy"
     assert report["u"] == 1
     assert report["a1_outside_chains"] == 3
@@ -215,7 +217,7 @@ def test_extremal_low_genus_all_tight():
         [(0, 2, 1), (2, 1, 1), (0, 3, 1), (3, 1, 1), (0, 4, 1), (4, 1, 1)],
     )
     assert g.validate() == (2, 2, 0)
-    report = check_specialfiber_bounds(g)
+    report = check_specialfiber_bounds(classify(g))
     assert report["N"] == report["N_bound"] == 2
     assert report["chain_count"] == report["chain_bound"] == 3
     assert report["a1_outside_chains"] == report["a1_bound"] == 0
@@ -236,7 +238,7 @@ def test_extremal_genus3_tree_all_tight():
             edges.append((hub, leaf, 1))
     g = ArithGraph(verts, edges)
     assert g.validate() == (3, 0, 0)
-    report = check_specialfiber_bounds(g)
+    report = check_specialfiber_bounds(classify(g))
     assert report["N"] == report["N_bound"] == 4
     assert report["chain_count"] == report["chain_bound"] == 3
     assert report["a1_outside_chains"] == report["a1_bound"] == 9
@@ -247,14 +249,14 @@ def test_extremal_genus3_tree_all_tight():
 
 def test_nothing_to_rewrite():
     with pytest.raises(NothingToRewrite):
-        local_modification(ArithGraph([Vertex(1, 3, 4)]))
+        local_modification(classify(ArithGraph([Vertex(1, 3, 4)])))
     with pytest.raises(NothingToRewrite):
-        local_modification(chain_fixture())
+        local_modification(classify(chain_fixture()))
 
 
 def test_tangency_rewrite():
     g = tangency_fixture()
-    out = local_modification(g)
+    out = local_modification(classify(g))
     assert out.validate() == (2, 0, 1)
     cls = classify(out)
     # The tangent curve survives and meets the new hub; two leaves join it.
@@ -266,12 +268,12 @@ def test_tangency_rewrite():
 
 def test_triple_point_rewrite():
     g = triple_point_fixture()
-    out = local_modification(g)
+    out = local_modification(classify(g))
     assert out.validate() == (3, 0, 2)
     cls = classify(out)
     assert len(cls.case2) == 2
     assert cls.case3 == cls.case4 == ()
-    assert out.n_vertices == 5  # curve through the point removed, hub + 2 leaves
+    assert len(out.vertices) == 5  # curve through the point removed, hub + 2 leaves
 
 
 def test_rewrite_preserves_genus_and_grows_a1():
@@ -283,14 +285,42 @@ def test_rewrite_preserves_genus_and_grows_a1():
             continue
         found += 1
         genus, _, _ = g.validate()
-        out = local_modification(g)
+        out = local_modification(cls)
         genus2, _, _ = out.validate()
         assert genus2 == genus
         cls2 = classify(out)
         assert cls2.case3 == cls2.case4 == ()
         assert cls2.a1_outside_chains > cls.a1_outside_chains
-        check_specialfiber_bounds(out)
+        check_specialfiber_bounds(cls2)
     assert found > 10
+
+
+def test_rewrite_renumbers_annotations_and_drops_stale_ones():
+    # Annotations on components that are not (-2)-curves are ignored by the
+    # classifier; the rewrite renumbers them, or drops one that names the
+    # removed curve through the triple point.
+    g = ArithGraph(
+        [Vertex(1, 0, 0, (1, 2)), Vertex(1, 1, 2, (0, 2)),
+         Vertex(1, 1, 3, (1, 3)), Vertex(1, 1, 1)],
+        [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)],
+    )
+    out = local_modification(classify(g))
+    assert out.vertices == (Vertex(1, 1, 2), Vertex(1, 1, 3, (0, 2)), Vertex(1, 1, 1),
+                            Vertex(2, 0, 0), Vertex(1, 0, 0), Vertex(1, 0, 0))
+    assert out.edges() == [(0, 3, 1), (1, 2, 1), (1, 3, 1), (3, 4, 1), (3, 5, 1)]
+    assert out.validate() == (4, 0, 3)
+
+
+def test_rewrites_sharing_an_edge_are_refused():
+    # Two triple points of the same two components need two units of their
+    # edge; with one, the rewrites overlap.
+    g = ArithGraph(
+        [Vertex(1, 1, 3), Vertex(1, 1, 3), Vertex(1, 0, 0, (0, 1)), Vertex(1, 0, 0, (0, 1))],
+        [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)],
+    )
+    assert classify(g).case3 == (2, 3)
+    with pytest.raises(ValueError, match="overlapping rewrites"):
+        local_modification(classify(g))
 
 
 # -- generator ----------------------------------------------------------------
@@ -308,7 +338,7 @@ def test_generator_output_is_valid_and_bounded():
         )
         in_chains = sum(len(c) for c in cls.chains)
         assert in_chains + cls.a1_outside_chains == minus_two
-        report = check_specialfiber_bounds(g)
+        report = check_specialfiber_bounds(cls)
         assert report["ok"]
         assert relation3_sum(g) == 2 * (genus - t_prime - p_sum)
         seen_case3 += bool(cls.case3)
@@ -369,3 +399,40 @@ def test_from_dict_refuses_non_integer_fields(data):
     # int() would truncate 1.9 to 1 and read a valid graph
     with pytest.raises(ValueError, match="must be an integer"):
         ArithGraph.from_dict(data)
+
+
+# -- golden outputs -----------------------------------------------------------
+
+# sha256 of ``_fiber_outputs()``: the generated graphs of seeds 0-199, what
+# ``validate``, ``classify`` and ``check_specialfiber_bounds`` say of each,
+# and the ``local_modification`` rewrite (or the class of its error).  To see
+# what moved after a change, dump ``_fiber_outputs()`` as JSON on both sides
+# and diff them.
+GRAPHS_SHA256 = "e11591c80649629a66e0c51927e957c15e3b9104ff83c4a4c0c6aeaa28ded3b7"
+
+
+def _graph_record(g: ArithGraph) -> dict:
+    return {"vertices": [[v.m, v.pa, v.w, v.case3_point_ids] for v in g.vertices],
+            "edges": g.edges()}
+
+
+def _fiber_outputs() -> list:
+    out = []
+    for seed in range(200):
+        g = random_fiber_graph(random.Random(seed), 10)
+        cls = classify(g)
+        rec = dict(_graph_record(g), validate=g.validate(), N=cls.N,
+                   chains=cls.chains, case2=cls.case2, case3=cls.case3,
+                   case4=cls.case4, t_prime=cls.t_prime, p_sum=cls.p_sum,
+                   bounds=check_specialfiber_bounds(cls))
+        try:
+            rec["rewrite"] = _graph_record(local_modification(cls))
+        except (NothingToRewrite, ValueError) as exc:
+            rec["rewrite"] = type(exc).__name__
+        out.append(rec)
+    return out
+
+
+def test_fiber_outputs_match_the_golden_hash():
+    blob = json.dumps(_fiber_outputs(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GRAPHS_SHA256

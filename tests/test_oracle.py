@@ -62,6 +62,10 @@ SCAN_INPUTS = [
 ]
 
 
+def _scan_every_b(coeffs, h):
+    return scan_candidates(coeffs, h, range(1, h + 1))
+
+
 def _G(coeffs, a, b):
     n = len(coeffs) - 1
     return sum(c * a**i * b ** (2 * n - i) for i, c in enumerate(coeffs))
@@ -82,7 +86,7 @@ def _exact_filter(coeffs, h):
 
 @pytest.mark.parametrize("coeffs", SCAN_INPUTS)
 def test_kernel_parity(coeffs):
-    assert scan_candidates(coeffs, 40) == _exact_filter(coeffs, 40)
+    assert _scan_every_b(coeffs, 40) == _exact_filter(coeffs, 40)
 
 
 @given(
@@ -91,14 +95,14 @@ def test_kernel_parity(coeffs):
 )
 @settings(max_examples=150, deadline=None)
 def test_kernel_parity_random(coeffs, h):
-    assert scan_candidates(coeffs, h) == _exact_filter(coeffs, h)
+    assert _scan_every_b(coeffs, h) == _exact_filter(coeffs, h)
 
 
 def test_kernel_parity_across_blocks(monkeypatch):
     # a small block size makes the scan gather b-rows in many blocks
     monkeypatch.setattr(scanner, "_BLOCK_CELLS", 200)
     coeffs = [3, -2, 0, 1, 0, 5]
-    assert scan_candidates(coeffs, 40) == _exact_filter(coeffs, 40)
+    assert _scan_every_b(coeffs, 40) == _exact_filter(coeffs, 40)
 
 
 # h = max(SCAN_MODULI) + 1 reaches b = 61, so every prime's row b = 0 mod p
@@ -113,14 +117,14 @@ NEW_PRIME_ROW_INPUTS = [
 @pytest.mark.parametrize("coeffs", NEW_PRIME_ROW_INPUTS)
 def test_kernel_parity_on_every_prime_row(coeffs):
     h = PRIME_ROW_HEIGHT
-    assert scan_candidates(coeffs, h) == _exact_filter(coeffs, h)
+    assert _scan_every_b(coeffs, h) == _exact_filter(coeffs, h)
 
 
 def test_kernel_parity_on_every_prime_row_across_blocks(monkeypatch):
     monkeypatch.setattr(scanner, "_BLOCK_CELLS", 200)
     coeffs = NEW_PRIME_ROW_INPUTS[0]
     h = PRIME_ROW_HEIGHT + 2
-    assert scan_candidates(coeffs, h) == _exact_filter(coeffs, h)
+    assert _scan_every_b(coeffs, h) == _exact_filter(coeffs, h)
 
 
 def _residue_filter(coeffs, h):
@@ -154,14 +158,14 @@ EDGE_HEIGHTS = (31, 32, 63, 64, 65, 255, 256, 257)
 @given(coeffs=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12))
 @settings(max_examples=8, deadline=None)
 def test_kernel_matches_residue_filter_at_block_edges(h, coeffs):
-    assert scan_candidates(coeffs, h) == _residue_filter(coeffs, h)
+    assert _scan_every_b(coeffs, h) == _residue_filter(coeffs, h)
 
 
 # a height of many gather blocks, on curves whose survivors are few (a
 # polynomial such as 0 or x^2 keeps all 8.8 million pairs)
 @pytest.mark.parametrize("coeffs", [c for c in SCAN_INPUTS if len(c) > 2])
 def test_kernel_matches_residue_filter_over_many_blocks(coeffs):
-    assert scan_candidates(coeffs, 2100) == _residue_filter(coeffs, 2100)
+    assert _scan_every_b(coeffs, 2100) == _residue_filter(coeffs, 2100)
 
 
 # banks narrower than the largest prime: the box's 2h + 1 cells hold at
@@ -170,14 +174,14 @@ def test_kernel_matches_residue_filter_over_many_blocks(coeffs):
 @given(coeffs=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12))
 @settings(max_examples=8, deadline=None)
 def test_kernel_matches_residue_filter_on_narrow_banks(h, coeffs):
-    assert scan_candidates(coeffs, h) == _residue_filter(coeffs, h)
+    assert _scan_every_b(coeffs, h) == _residue_filter(coeffs, h)
 
 
 def test_kernel_parity_across_gather_blocks(monkeypatch):
     # one word of every bank row gathered and packed per block
     monkeypatch.setattr(scanner, "_GATHER_CELLS", 1)
     coeffs = [3, -2, 0, 1, 0, 5]
-    assert scan_candidates(coeffs, 300) == _residue_filter(coeffs, 300)
+    assert _scan_every_b(coeffs, 300) == _residue_filter(coeffs, 300)
 
 
 @pytest.mark.parametrize("height", [8_607_136, 10**8, 10**30])
@@ -185,7 +189,7 @@ def test_a_height_whose_bank_would_pass_a_gib_is_refused(height):
     # 499 rows of 8 bytes per 64 values of a: H = 8,607,135 is the largest
     # height whose bank fits in 2^30 bytes, and no larger one is allocated
     with pytest.raises(UnsupportedRegime, match="sieve bank"):
-        scan_candidates([1, 0, 0, 0, 0, 0, 0, 1], height)
+        _scan_every_b([1, 0, 0, 0, 0, 0, 0, 1], height)
     with pytest.raises(UnsupportedRegime, match="sieve bank"):
         search_rational_points([1, 0, 0, 0, 0, 0, 0, 1], height)
 
@@ -194,13 +198,13 @@ def test_a_height_whose_bank_would_pass_a_gib_is_refused(height):
 def test_kernel_strength_on_the_septic(height, survivors):
     # pins how many pairs the sieve keeps on y^2 = x^7 + 1: dropping or
     # weakening a prime raises the count (the four points all survive)
-    out = scan_candidates([1, 0, 0, 0, 0, 0, 0, 1], height)
+    out = _scan_every_b([1, 0, 0, 0, 0, 0, 0, 1], height)
     assert len(out) == survivors
     assert {(0, 1), (-1, 1)} <= set(out)
 
 
 def test_kernel_order_is_b_major_a_ascending():
-    out = scan_candidates([0, 1], 6)
+    out = _scan_every_b([0, 1], 6)
     assert out == sorted(out, key=lambda ab: (ab[1], ab[0]))
 
 
@@ -208,7 +212,7 @@ def test_kernel_no_false_negatives():
     # every pair whose G value is a square must survive the filter
     h = 25
     for coeffs in filter(None, SCAN_INPUTS):  # [] is no curve
-        survivors = set(scan_candidates(coeffs, h))
+        survivors = set(_scan_every_b(coeffs, h))
         for b in range(1, h + 1):
             for a in range(-h, h + 1):
                 g = _G(coeffs, a, b)

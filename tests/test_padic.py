@@ -204,6 +204,30 @@ def test_sum_is_normalised_like_the_embedded_rational(x, y, p, rx, ry):
         assert s.unit_residue() == want.unit_residue()
 
 
+@st.composite
+def _elements(draw, p):
+    """A unit times a power of p, an exact zero or an inexact zero O(p^val)."""
+    kind = draw(st.sampled_from(("digits", "digits", "exact", "inexact")))
+    val = draw(st.integers(-10, 10))
+    if kind == "exact":
+        return PAdic.zero(p)
+    if kind == "inexact":
+        return PAdic.inexact_zero(p, val)
+    return PAdic(p, val, draw(st.integers(1, 10**8)), val + draw(st.integers(1, 12)))
+
+
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 10007)))
+@settings(max_examples=400, deadline=None)
+def test_difference_is_the_sum_with_the_negation(data, p):
+    # structurally: the same val, unit and prec
+    x = data.draw(_elements(p))
+    y = data.draw(st.one_of(_elements(p), st.integers(-10**6, 10**6), rationals))
+    assert x - y == x + (-y)
+    assert x - x == x + (-x)
+    if not isinstance(y, PAdic):
+        assert y - x == (-x) + y
+
+
 # ---------------------------------------------------------------------------
 # sqrt
 # ---------------------------------------------------------------------------
@@ -226,7 +250,7 @@ def test_sqrt_tiebreak_least_residue():
                 r = sqrt(x)
             except NotASquare:
                 continue
-            assert 1 <= r.residue() <= (p - 1) // 2
+            assert 1 <= r.unit_residue() % p <= (p - 1) // 2
 
 
 def test_sqrt_even_valuation_scales():

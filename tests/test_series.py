@@ -271,10 +271,12 @@ class TestAlgebra:
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_evaluate_is_the_term_by_term_padic_sum(self, data):
+    def test_evaluate_agrees_with_the_exact_sum_over_representatives(self, data):
         # definite and O(p^N) coefficients, always a z^0 term, and a point
-        # known to finitely many digits: evaluate must give the element that
-        # adding up c * x**n gives, with the same val, unit, prec
+        # known to finitely many digits: the sum of c * x^n in exact
+        # rationals agrees with evaluate to the precision evaluate claims,
+        # for the lifts and for other representatives of the unknown digits
+        # (x + p^prec(x), c + p^prec(c), so p^N for an O(p^N) coefficient)
         p = data.draw(st.sampled_from((2, 3, 5, 10007)))
         unit = st.integers(1, 10**12).filter(lambda u: u % p)
 
@@ -288,10 +290,15 @@ class TestAlgebra:
         f = LaurentPoly(p, {n: element() for n in exps})
         v = data.draw(st.integers(-3, 3))
         x = PAdic(p, v, data.draw(unit), v + data.draw(st.integers(1, 20)))
-        want = PAdic.zero(p)
-        for n, c in f.terms.items():
-            want = want + c * x**n
-        assert f.evaluate(x) == want
+        value = f.evaluate(x)
+
+        def exact_sum(shift):
+            def rep(y):
+                return y.lift() + shift * Fraction(p) ** y.prec
+            return sum((rep(c) * rep(x) ** n for n, c in f.terms.items()), Fraction(0))
+
+        assert value.agrees(exact_sum(0))
+        assert value.agrees(exact_sum(1))
 
     def test_json_roundtrip(self):
         f = L(3, {-2: Fraction(1, 2), 5: 7})
