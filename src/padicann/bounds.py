@@ -6,11 +6,14 @@ between the assembled local bound, its explicit t-maximization, and the
 rational-point specialization are exact identities and are asserted as such.
 The p > e + 1 regime and its correction delta(p, e, n) live here alone: the
 disk bound 1 + n + delta and the annulus bound B_A both read them.
+
+Each of the paper's hypotheses has one check: ``_check_regime`` (p > e + 1),
+``_check_field`` (p prime, q a power of p) and ``_check_rank`` (0 <= r <= g - 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -93,10 +96,7 @@ def points_on_disks_bound(N_D: int, r: int, p: int, e: int) -> int:
 
 def points_on_annuli_bound(g: int, t: int, p: int, e: int, r: int) -> int:
     """Points on the 2g-3+t annuli, using rank r+2 per annulus."""
-    if r > g - 3:
-        raise RankTooLarge(f"need r <= g - 3, got r = {r}, g = {g}")
-    if r < 0:
-        raise ValueError("need r >= 0")
+    _check_rank(g, r)
     return annulus_count_bound(g, t) * B_A(p, e, r + 2)
 
 
@@ -116,17 +116,18 @@ def _check_field(p: int, q: int) -> None:
         raise ValueError("q must be a power of p, at least p")
 
 
-def _check_local_inputs(p: int, e: int, q: int, g: int, r: int) -> None:
-    if p % 2 == 0:
-        raise UnsupportedRegime("p must be odd")
-    _check_regime(p, e)
-    if g < 3:
-        raise ValueError("need g >= 3")
+def _check_rank(g: int, r: int) -> None:
+    """0 <= r <= g - 3: the rank hypothesis, which also gives g >= 3."""
     if r < 0:
         raise ValueError("need r >= 0")
     if r > g - 3:
         raise RankTooLarge(f"need r <= g - 3, got r = {r}, g = {g}")
+
+
+def _check_local_inputs(p: int, e: int, q: int, g: int, r: int) -> None:
+    _check_regime(p, e)
     _check_field(p, q)
+    _check_rank(g, r)
 
 
 def N_local(p: int, e: int, q: int, g: int, r: int) -> int:
@@ -169,12 +170,7 @@ def R_rational(d: int, g: int, r: int) -> int:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    if g < 3:
-        raise ValueError("need g >= 3")
-    if r < 0:
-        raise ValueError("need r >= 0")
-    if r > g - 3:
-        raise RankTooLarge(f"need r <= g - 3, got r = {r}, g = {g}")
+    _check_rank(g, r)
     if d > 1:
         raise UnsupportedRegime(f"no closed form for d = {d} > 1")
     return 8 * (r + 4) * (g - 1) + max(1, 4 * r) * g
@@ -183,7 +179,7 @@ def R_rational(d: int, g: int, r: int) -> int:
 def torsion_bound(g: int) -> int:
     """Bound 33(g-1) + 1 for points mapping into a finite subgroup."""
     if g < 3:
-        raise ValueError("need g >= 3")
+        raise UnsupportedRegime("need g >= 3")
     return 33 * (g - 1) + 1
 
 
@@ -203,15 +199,6 @@ class RhoLogBounds:
     core_annuli: int    # number of core annuli
     disks_total: int    # image points over all disks: 5 * core_disks + 6g - 6
     total: int          # assembled global bound
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "annulus": self.annulus,
-            "core_disks": self.core_disks,
-            "core_annuli": self.core_annuli,
-            "disks_total": self.disks_total,
-            "total": self.total,
-        }
 
 
 def rholog_bounds(g: int) -> RhoLogBounds:
@@ -248,16 +235,39 @@ def min_unlikely_n(dim_B: int, g: int, r: int) -> int:
 # -- aggregate report ----------------------------------------------------------
 
 
+# the refusals of the paper's hypotheses; any other error is a bad input
+_REFUSALS = (UnsupportedRegime, RankTooLarge, RankOutOfRange)
+
+
+def _unless_refused(formula, *args):
+    """``formula(*args)``, or None where the formula refuses these inputs."""
+    try:
+        return formula(*args)
+    except _REFUSALS:
+        return None
+
+
+def _jsonable(x):
+    """``x`` with each Fraction as {"numerator", "denominator"}, tuples as lists."""
+    if isinstance(x, Fraction):
+        return {"numerator": x.numerator, "denominator": x.denominator}
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return x
+
+
 @dataclass
 class BoundReport:
     """Every bound the package can state for one set of inputs.
 
-    Fields whose preconditions fail at these inputs are None.
+    A field is None exactly where its formula refuses these inputs.
     """
 
     inputs: Dict[str, int]
     per_t: List[Dict[str, int]]
-    B_A_r_plus_2: Optional[int]
+    B_A_r_plus_2: int
     N_local: Optional[int]
     N_local_majorants: Optional[tuple]
     R_rational: Optional[int]
@@ -268,65 +278,45 @@ class BoundReport:
     min_unlikely_n: int
 
     def to_dict(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return {"numerator": x.numerator, "denominator": x.denominator}
-            return x
-
-        return {
-            "inputs": dict(self.inputs),
-            "per_t": [dict(row) for row in self.per_t],
-            "B_A_r_plus_2": self.B_A_r_plus_2,
-            "N_local": self.N_local,
-            "N_local_majorants": (
-                [enc(m) for m in self.N_local_majorants]
-                if self.N_local_majorants is not None
-                else None
-            ),
-            "R_rational": enc(self.R_rational),
-            "torsion_bound": self.torsion_bound,
-            "improved_bound": self.improved_bound,
-            "rholog": self.rholog.to_dict(),
-            "density_lower": enc(self.density_lower),
-            "min_unlikely_n": self.min_unlikely_n,
-        }
+        return _jsonable(asdict(self))
 
 
 def bound_report(
     p: int, e: int, q: int, g: int, r: int, d: int = 1
 ) -> BoundReport:
-    """Evaluate every applicable bound at one parameter point."""
+    """Evaluate every bound at one parameter point; None where one refuses."""
+    if d < 1:
+        raise ValueError("need d >= 1")
     if g < 2:
         raise ValueError("need g >= 2")
     _check_regime(p, e)
     _check_field(p, q)
     per_t = []
     for t in range(g + 1):
+        disks = disk_count_bound(q, g, t)
         row = {
             "t": t,
-            "disks": disk_count_bound(q, g, t),
+            "disks": disks,
             "annuli": annulus_count_bound(g, t),
-            "points_on_disks": points_on_disks_bound(
-                disk_count_bound(q, g, t), r, p, e
-            ),
+            "points_on_disks": points_on_disks_bound(disks, r, p, e),
         }
-        if 0 <= r <= g - 3:
-            row["points_on_annuli"] = points_on_annuli_bound(g, t, p, e, r)
+        on_annuli = _unless_refused(points_on_annuli_bound, g, t, p, e, r)
+        if on_annuli is not None:
+            row["points_on_annuli"] = on_annuli
         per_t.append(row)
 
-    rank_ok = g >= 3 and 0 <= r <= g - 3
+    n_local = _unless_refused(N_local, p, e, q, g, r)
     return BoundReport(
         inputs={"p": p, "e": e, "q": q, "g": g, "r": r, "d": d},
         per_t=per_t,
-        B_A_r_plus_2=B_A(p, e, r + 2) if r >= 0 else None,
-        N_local=N_local(p, e, q, g, r) if rank_ok and p % 2 else None,
+        B_A_r_plus_2=B_A(p, e, r + 2),  # per_t has refused r < 0
+        N_local=n_local,
         N_local_majorants=(
-            n_local_majorants(p, e, q, g, r) if rank_ok and p % 2 else None
+            None if n_local is None else n_local_majorants(p, e, q, g, r)
         ),
-        # no closed form over a field of degree d > 1
-        R_rational=R_rational(d, g, r) if rank_ok and d <= 1 else None,
-        torsion_bound=torsion_bound(g) if g >= 3 else None,
-        improved_bound=improved_bound(g, r) if 1 <= r <= g - 3 else None,
+        R_rational=_unless_refused(R_rational, d, g, r),
+        torsion_bound=_unless_refused(torsion_bound, g),
+        improved_bound=_unless_refused(improved_bound, g, r),
         rholog=rholog_bounds(g),
         density_lower=density_lower_bound(g),
         min_unlikely_n=min_unlikely_n(3 * g - 3, g, r),

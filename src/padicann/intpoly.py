@@ -93,11 +93,14 @@ def as_rational(v, name: str) -> Fraction:
     """``v`` read as a rational: an int, or a string or float such as "-3",
     "7/2" or 0.25.
 
-    Raises ValueError for true/false and for exponent notation, where the
-    ten characters "1e10000000" would build a ten-million-digit integer.
+    A float is read through its shortest decimal form, so 0.00001 (which
+    prints as 1e-05) is 1/100000.  Raises ValueError for true/false, for
+    nan and the infinities, and for exponent notation in a string, where
+    the ten characters "1e10000000" would build a ten-million-digit integer.
     """
-    if isinstance(v, (int, float, str)) and not isinstance(v, bool) \
-            and "e" not in str(v).lower():
+    if isinstance(v, int) and not isinstance(v, bool) \
+            or isinstance(v, float) and math.isfinite(v) \
+            or isinstance(v, str) and "e" not in v.lower():
         return Fraction(str(v))
     raise ValueError(f"{name} must be a rational such as -3, 7/2 or 0.25, got {v!r}")
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from .errors import CertificationFailed, CoverageGap, DoubleCover
 from .intpoly import (
     clear_denominators,
+    is_prime,
     square_scaled,
     squarefree_coefficients,
     vp,
@@ -208,6 +209,8 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     a class still open after N digits (a repeated root, or roots closer
     than that) raises CertificationFailed rather than guessing.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if N < 1:
         raise ValueError("N must be >= 1")
     if not isinstance(f, dict):

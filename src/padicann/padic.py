@@ -83,15 +83,14 @@ class PAdic:
             self._unit = 0
             self._prec = prec
             return
-        # re-normalize in case `unit` was divisible by p
+        # move the factors of p into val: the quotient is below
+        # p^(rel - shift) already, so it needs no second reduction
         shift = 0
         while unit % p == 0:
             unit //= p
             shift += 1
-        val += shift
-        rel -= shift
-        self._val = val
-        self._unit = unit % (p ** rel)
+        self._val = val + shift
+        self._unit = unit
         self._prec = prec
 
     # --- constructors -----------------------------------------------------
@@ -174,16 +173,6 @@ class PAdic:
         if self._val is None:
             return Fraction(0)
         return Fraction(self.p) ** self._val * self._unit
-
-    def at_precision(self, prec: int) -> "PAdic":
-        """Truncate to a lower absolute precision (raising is not allowed)."""
-        if prec > self.prec:
-            raise PrecisionInsufficient(
-                f"cannot raise precision from {self.prec} to {prec}"
-            )
-        if self._val is None:
-            return PAdic.inexact_zero(self.p, prec)
-        return PAdic(self.p, self._val, self._unit, prec)
 
     # --- arithmetic -------------------------------------------------------
 
@@ -451,42 +440,6 @@ def sqrt(x: PAdic) -> PAdic:
         r = p ** rel - r
     val = x.valuation // 2
     return PAdic(p, val, r, val + rel)
-
-
-def teichmuller_decompose(x: PAdic):
-    """Split x = p^m * zeta * u with zeta a Teichmueller root of unity, u = 1 mod p.
-
-    Returns ``(m, zeta_residue, u)`` where ``zeta_residue`` is an integer mod p
-    (for p = 2 it is the sign representative mod 4, i.e. 1 or 3, and u = 1 mod 4).
-    """
-    if x.is_zero():
-        raise ZeroArgument("zero has no Teichmueller decomposition")
-    p = x.p
-    m = int(x.valuation)
-    rel = int(x.rel_prec)
-    mod = p ** rel
-    u0 = x.unit_residue()
-    if p == 2:
-        if rel == 1:
-            return m, 1, PAdic(2, 0, 1, 1)
-        if u0 % 4 == 1:
-            return m, 1, PAdic(2, 0, u0, rel)
-        return m, 3, PAdic(2, 0, -u0, rel)
-    zeta = _teichmuller_unit(u0, p, rel)
-    u = u0 * pow(zeta, -1, mod) % mod
-    return m, zeta % p, PAdic(p, 0, u, rel)
-
-
-def _teichmuller_unit(u: int, p: int, rel: int) -> int:
-    """The root of unity mod p^rel congruent to u mod p: iterate u -> u^p."""
-    mod = p**rel
-    zeta = u % mod
-    for _ in range(rel + 1):
-        nxt = pow(zeta, p, mod)
-        if nxt == zeta:
-            break
-        zeta = nxt
-    return zeta
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,6 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicann.bounds import (
     B_A,
@@ -214,3 +218,85 @@ def test_bound_report_unevaluated_degree():
     assert rep.R_rational is None
     assert rep.to_dict()["R_rational"] is None
     assert rep.N_local == bound_report(3, 1, 3, 5, 1).N_local
+
+
+# -- the report reads each formula's own refusals ------------------------------
+
+REFUSALS = (UnsupportedRegime, RankTooLarge, RankOutOfRange)
+
+# sha256 of ``_report_grid()``, recorded when ``bound_report`` still restated
+# each formula's preconditions by hand: the report, or the error it raised,
+# at every point of the grid.  To see what moved after a change, dump
+# ``_report_grid()`` as JSON on both sides and diff them.
+REPORT_GRID_SHA256 = "5693f624ab83c184d100cc4d4055c9c2743b75694ac78b5d566595e0ddcffbc7"
+
+
+def _report_grid() -> list:
+    out = []
+    for p in (2, 3, 4, 5, 7, 9, 11):
+        for e in range(5):
+            for q in (p, p * p, p + 1):
+                for g in range(9):
+                    for r in range(-2, 8):
+                        for d in (1, 2):
+                            try:
+                                rec = bound_report(p, e, q, g, r, d).to_dict()
+                            except ValueError as exc:
+                                rec = [type(exc).__name__, str(exc)]
+                            out.append(rec)
+    return out
+
+
+def test_bound_reports_match_the_golden_hash():
+    blob = json.dumps(_report_grid(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORT_GRID_SHA256
+
+
+def _expect(value, formula, *args):
+    """A report field is the formula's value, or None where it refuses."""
+    if value is None:
+        with pytest.raises(REFUSALS):
+            formula(*args)
+    else:
+        assert value == formula(*args)
+
+
+@st.composite
+def report_inputs(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    e = draw(st.integers(1, p - 2))
+    q = p ** draw(st.integers(1, 3))
+    return p, e, q, draw(st.integers(2, 14)), draw(st.integers(0, 14)), draw(st.integers(1, 3))
+
+
+@given(report_inputs())
+@settings(max_examples=200, deadline=None)
+def test_report_fields_are_the_formulas_or_their_refusals(inputs):
+    p, e, q, g, r, d = inputs
+    rep = bound_report(p, e, q, g, r, d)
+    assert rep.inputs == {"p": p, "e": e, "q": q, "g": g, "r": r, "d": d}
+    for t, row in enumerate(rep.per_t):
+        assert row["disks"] == disk_count_bound(q, g, t)
+        assert row["annuli"] == annulus_count_bound(g, t)
+        assert row["points_on_disks"] == points_on_disks_bound(row["disks"], r, p, e)
+        _expect(row.get("points_on_annuli"), points_on_annuli_bound, g, t, p, e, r)
+    assert rep.B_A_r_plus_2 == B_A(p, e, r + 2)
+    _expect(rep.N_local, N_local, p, e, q, g, r)
+    if rep.N_local is None:
+        assert rep.N_local_majorants is None
+    else:
+        assert rep.N_local_majorants == n_local_majorants(p, e, q, g, r)
+    _expect(rep.R_rational, R_rational, d, g, r)
+    _expect(rep.torsion_bound, torsion_bound, g)
+    _expect(rep.improved_bound, improved_bound, g, r)
+    assert rep.rholog == rholog_bounds(g)
+    assert rep.density_lower == density_lower_bound(g)
+    assert rep.min_unlikely_n == min_unlikely_n(3 * g - 3, g, r)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_a_degree_below_one_is_refused_at_every_genus_and_rank(d):
+    for g in range(9):
+        for r in range(-2, 8):
+            with pytest.raises(ValueError, match="need d >= 1"):
+                bound_report(3, 1, 3, g, r, d)

@@ -250,6 +250,20 @@ def test_decompose(capsys, octic_file):
     assert kinds.count("odd") == 2 and kinds.count("weierstrass") == 2
 
 
+def test_decompose_reads_json_decimals_that_print_with_an_exponent(capsys, tmp_path):
+    # 0.00001 (1e-05 once read) times (x - 1)...(x - 5), as JSON decimals
+    # and as exact strings
+    decimals = tmp_path / "decimals.json"
+    decimals.write_text('{"p": 3, "f": [-0.0012, 0.00274, -0.00225, 0.00085, '
+                        '-0.00015, 0.00001]}')
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps({"p": 3, "f": ["-3/2500", "137/50000", "-9/4000",
+                                               "17/20000", "-3/20000", "1/100000"]}))
+    rep = run_json(capsys, "decompose", str(decimals))
+    assert rep["genus"] == 2
+    assert rep == run_json(capsys, "decompose", str(exact))
+
+
 def test_decompose_small_genus_fails(capsys, tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps({"p": 3, "f": ["2", "0", "1"]}))

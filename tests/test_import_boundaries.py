@@ -5,9 +5,9 @@ polynomials and valuations).  The allowlist names the private imports that
 are kept on purpose; an entry that no longer matches an import fails too,
 so the list cannot go stale.
 
-Every public module-level function and class has a caller in the package or
-in ``perfbench``, or is on the ``UNCALLED`` allowlist, which cannot go stale
-either.
+Every public module-level function and class, and every public method and
+property of a public class, has a caller in the package or in ``perfbench``,
+or is on the ``UNCALLED`` allowlist, which cannot go stale either.
 """
 
 import ast
@@ -148,30 +148,43 @@ def test_only_padic_builds_padic_elements_from_their_parts():
 UNCALLED = {
     "zero_bound_disk",            # the disk bound a per-curve sum will read
     "lambda_zero_count_annulus",  # the per-annulus count a Chabauty sum will read
-    "teichmuller_decompose",      # the reference that log0 is tested against
 }
+
+
+def _public_definitions(path):
+    """The public module-level functions and classes of a module, and the
+    public methods and properties of its public classes; dunders are private."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield top.name
+            if isinstance(top, ast.ClassDef):
+                yield from (n.name for n in top.body if isinstance(n, ast.FunctionDef)
+                            and not n.name.startswith("_"))
 
 
 def _named_outside_own_definition(paths):
     """Every name read as a variable or attribute in these files, except
-    inside the module-level definition of that same name."""
+    inside a definition (function, method or class) of that same name."""
     named = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in enclosing:
+                named.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
     for path in paths:
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            here = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-            here |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                here.discard(top.name)
-            named |= here
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     return named
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
     sources = sorted(PACKAGE.glob("*.py"))
-    defined = {top.name for path in sources
-               for top in ast.parse(path.read_text(encoding="utf-8")).body
-               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-               and not top.name.startswith("_")}
+    defined = {name for path in sources for name in _public_definitions(path)}
     uncalled = defined - _named_outside_own_definition(sources + sorted(PERFBENCH.glob("*.py")))
     assert uncalled - UNCALLED == set(), "public names that only tests call"
     assert UNCALLED - uncalled == set(), "allowlist entries that have a caller"

@@ -243,7 +243,20 @@ def test_as_rational_reads_ints_fractions_and_decimals(v, expected):
     assert as_rational(v, "c") == expected
 
 
-@pytest.mark.parametrize("v", [True, False, "1e10000000", "2E3", 1e20, None, [1]])
+# a float reads through its shortest decimal form, even where that form has
+# an exponent: JSON's 0.00001 is the float that prints as 1e-05
+@pytest.mark.parametrize("v, expected", [
+    (0.00001, Fraction(1, 100000)), (10000000000000000.0, Fraction(10**16)),
+    (1e20, Fraction(10**20)), (-2.5e-07, Fraction(-1, 4000000)),
+])
+def test_as_rational_reads_floats_that_print_with_an_exponent(v, expected):
+    assert as_rational(v, "c") == expected
+
+
+# exponent notation is refused in strings only, and nan and the infinities
+# get the same message as any other value that is not a rational
+@pytest.mark.parametrize("v", [True, False, "1e10000000", "2E3", float("nan"), None,
+                               [1], float("inf"), float("-inf")])
 def test_as_rational_refuses_booleans_and_exponents(v):
     with pytest.raises(ValueError, match="c must be a rational"):
         as_rational(v, "c")

@@ -570,6 +570,13 @@ def test_enumerate_accepts_laurent_and_dict():
     assert enumerate_padic_zeros({-1: -3, 0: 1}, 3, (0, 2), 6) == 1
 
 
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_enumerate_refuses_a_p_that_is_not_prime(p):
+    # the digit descent would answer 0, 2 and 4 here: counts of nothing
+    with pytest.raises(ValueError, match="not prime"):
+        enumerate_padic_zeros([-4, 0, 1], p, (-5, 5))
+
+
 def test_enumerate_rejects_inexact_and_zero():
     # a p-adic coefficient is known only mod p^prec: not read as a rational
     with pytest.raises(TypeError):

@@ -24,7 +24,6 @@ from padicann.padic import (
     is_square,
     log0,
     sqrt,
-    teichmuller_decompose,
     vp,
 )
 
@@ -420,6 +419,43 @@ def test_log0_scaling_by_p_is_invisible():
     p = 3
     x = PAdic.from_int(10, p, 14)
     assert (log0(x * PAdic.from_int(p, p, 14)) - log0(x)).is_zero()
+
+
+def teichmuller_decompose(x: PAdic):
+    """Split x = p^m * zeta * u with zeta a Teichmueller root of unity, u = 1 mod p.
+
+    Returns ``(m, zeta_residue, u)`` where ``zeta_residue`` is an integer mod p
+    (for p = 2 it is the sign representative mod 4, i.e. 1 or 3, and u = 1 mod 4).
+    ``_log0_reference`` sums the log series at this u.
+    """
+    if x.is_zero():
+        raise ZeroArgument("zero has no Teichmueller decomposition")
+    p = x.p
+    m = int(x.valuation)
+    rel = int(x.rel_prec)
+    mod = p ** rel
+    u0 = x.unit_residue()
+    if p == 2:
+        if rel == 1:
+            return m, 1, PAdic(2, 0, 1, 1)
+        if u0 % 4 == 1:
+            return m, 1, PAdic(2, 0, u0, rel)
+        return m, 3, PAdic(2, 0, -u0, rel)
+    zeta = _teichmuller_unit(u0, p, rel)
+    u = u0 * pow(zeta, -1, mod) % mod
+    return m, zeta % p, PAdic(p, 0, u, rel)
+
+
+def _teichmuller_unit(u: int, p: int, rel: int) -> int:
+    """The root of unity mod p^rel congruent to u mod p: iterate u -> u^p."""
+    mod = p**rel
+    zeta = u % mod
+    for _ in range(rel + 1):
+        nxt = pow(zeta, p, mod)
+        if nxt == zeta:
+            break
+        zeta = nxt
+    return zeta
 
 
 def _log0_reference(x):
