@@ -185,8 +185,9 @@ def torsion_bound(g: int) -> int:
 
 def improved_bound(g: int, r: int) -> int:
     """Sharper count 8rg + 33(g-1) - 1, valid for 1 <= r <= g - 3."""
-    if not 1 <= r <= g - 3:
+    if r < 1:
         raise RankOutOfRange(f"need 1 <= r <= g - 3, got r = {r}, g = {g}")
+    _check_rank(g, r)
     return 8 * r * g + 33 * (g - 1) - 1
 
 
@@ -236,7 +237,7 @@ def min_unlikely_n(dim_B: int, g: int, r: int) -> int:
 
 
 # the refusals of the paper's hypotheses; any other error is a bad input
-_REFUSALS = (UnsupportedRegime, RankTooLarge, RankOutOfRange)
+_REFUSALS = (UnsupportedRegime, RankOutOfRange)
 
 
 def _unless_refused(formula, *args):

@@ -105,12 +105,12 @@ class NothingToRewrite(PadicannError):
 
 # --- bounds -----------------------------------------------------------------
 
-class RankTooLarge(PadicannError, ValueError):
-    """The Mordell-Weil rank input exceeds g-3."""
-
-
 class RankOutOfRange(PadicannError, ValueError):
     """The rank input is outside the closed-form bound's validity range."""
+
+
+class RankTooLarge(RankOutOfRange):
+    """The Mordell-Weil rank input exceeds g-3."""
 
 
 # --- oracle -----------------------------------------------------------------

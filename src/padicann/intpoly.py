@@ -95,13 +95,17 @@ def as_rational(v, name: str) -> Fraction:
 
     A float is read through its shortest decimal form, so 0.00001 (which
     prints as 1e-05) is 1/100000.  Raises ValueError for true/false, for
-    nan and the infinities, and for exponent notation in a string, where
-    the ten characters "1e10000000" would build a ten-million-digit integer.
+    nan and the infinities, for exponent notation in a string, where the
+    ten characters "1e10000000" would build a ten-million-digit integer,
+    and for a string that is no fraction, such as "abc" or "1/0".
     """
     if isinstance(v, int) and not isinstance(v, bool) \
             or isinstance(v, float) and math.isfinite(v) \
             or isinstance(v, str) and "e" not in v.lower():
-        return Fraction(str(v))
+        try:
+            return Fraction(str(v))
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValueError(f"{name} must be a rational such as -3, 7/2 or 0.25, got {v!r}")
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations, compress
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .errors import CertificationFailed, CoverageGap, DoubleCover
+from .errors import CertificationFailed, CoverageGap, DoubleCover, UnsupportedRegime
 from .intpoly import (
     clear_denominators,
     is_prime,
@@ -207,12 +207,16 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     finds the zeros p^m u, u a unit, digit by digit (see
     ``_count_at_valuation``).  N is the most digits of u the descent reads:
     a class still open after N digits (a repeated root, or roots closer
-    than that) raises CertificationFailed rather than guessing.
+    than that) raises CertificationFailed rather than guessing.  A repeated
+    root keeps classes open at every depth, and the work grows steeply with
+    N, so N is at most 64.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > 64:
+        raise ValueError(f"N = {N} is too large: the descent reads at most 64 digits")
     if not isinstance(f, dict):
         f = dict(enumerate(f))
     terms = {int(n): Fraction(c) for n, c in f.items()}
@@ -343,8 +347,9 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
     p^need stands for p^(N - need) classes mod p^N that hit the same regions,
     and its least member, the class's residue, is the first of them.
 
-    Raises CoverageGap / DoubleCover, else returns a report with the
-    per-annulus shell class counts.
+    The audit visits every class, so it refuses p^need > 2^20 with
+    UnsupportedRegime.  Raises CoverageGap / DoubleCover, else returns a
+    report with the per-annulus shell class counts.
     """
     if decomposition.disks is None:
         raise ValueError("decomposition carries no disk regions to audit")
@@ -374,6 +379,10 @@ def verify_decomposition_cover(curve: HyperellipticCurve,
         N = need
     elif N < need:
         raise ValueError(f"need N >= {need} to resolve every region")
+    if p**need > 1 << 20:
+        raise UnsupportedRegime(
+            f"the audit would visit {p}^{need} classes (need = {need}); "
+            f"at most 2^20 are supported")
 
     lifts = p ** (N - need)
     modulus = p**N

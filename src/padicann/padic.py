@@ -14,7 +14,12 @@ Two flavours of zero exist:
   constructors and by exact cancellation bookkeeping such as ``x + (-x)``
   on identical representations;
 * an inexact zero ``O(p^N)``: all known digits cancelled, so the element is
-  indistinguishable from zero modulo ``p^N``.
+  indistinguishable from zero modulo ``p^N``.  It is stored like any other
+  element, as ``p^N * 0 + O(p^N)``: valuation N, unit 0, relative precision
+  0, so the general rules for sums, products, quotients and powers apply to
+  it unchanged.  A sum known modulo ``p^n`` drops a term whose valuation is
+  at or past n without forming its power of p, so such a zero costs nothing
+  there.
 
 Example::
 
@@ -40,11 +45,16 @@ from .errors import (
     NotASquare,
     OddPrimeRequired,
     PrecisionInsufficient,
+    UnsupportedRegime,
     ZeroArgument,
 )
 from .intpoly import INF, as_int, is_prime, vp  # also re-exported as padicann.padic.vp / .INF
 
 DEFAULT_PRECISION = 20
+
+# a unit is a residue mod p^(prec - val); inputs that would make one larger
+# than this many bits are refused, so no reduction runs for minutes
+MAX_RESIDUE_BITS = 1 << 21
 
 
 class PAdic:
@@ -55,41 +65,31 @@ class PAdic:
     def __init__(self, p: int, val, unit: int, prec):
         """Build ``p^val * unit + O(p^prec)``; prefer the classmethods.
 
-        ``val=None`` (with ``unit=0``) builds a zero: exact when ``prec`` is
-        None, an inexact ``O(p^prec)`` otherwise.
+        ``prec=None`` builds the exact zero, stored with ``val = prec = None``.
+        A unit that vanishes mod ``p^(prec - val)``, or ``val=None``, gives
+        the inexact zero ``O(p^prec)``, stored as valuation ``prec`` and unit
+        0; a ``val`` past ``prec`` leaves no digit, so it gives that zero too.
         """
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         self.p = p
-        if val is None or unit == 0:
-            self._val = None
-            self._unit = 0
-            self._prec = None if prec is None else int(prec)
-            return
         if prec is None:
-            raise ValueError("a nonzero PAdic needs its absolute precision")
-        val = int(val)
+            if val is not None and unit != 0:
+                raise ValueError("a nonzero PAdic needs its absolute precision")
+            self._val = self._prec = None
+            self._unit = 0
+            return
         prec = int(prec)
-        rel = prec - val
-        if rel < 1:
-            # fewer than one known digit: the element is a zero at this precision
-            self._val = None
-            self._unit = 0
-            self._prec = prec
-            return
-        unit %= p ** rel
+        val = prec if val is None else int(val)
+        unit = unit % p ** (prec - val) if val < prec else 0
         if unit == 0:
-            self._val = None
-            self._unit = 0
-            self._prec = prec
-            return
+            val = prec
         # move the factors of p into val: the quotient is below
-        # p^(rel - shift) already, so it needs no second reduction
-        shift = 0
-        while unit % p == 0:
+        # p^(prec - val) already, so it needs no second reduction
+        while unit and unit % p == 0:
             unit //= p
-            shift += 1
-        self._val = val + shift
+            val += 1
+        self._val = val
         self._unit = unit
         self._prec = prec
 
@@ -135,10 +135,10 @@ class PAdic:
 
     def is_zero(self) -> bool:
         """True for the exact zero and for inexact zeros O(p^N)."""
-        return self._val is None
+        return self._unit == 0
 
     def is_exact_zero(self) -> bool:
-        return self._val is None and self._prec is None
+        return self._prec is None
 
     @property
     def valuation(self):
@@ -147,9 +147,7 @@ class PAdic:
         Infinite for the exact zero.  For an inexact zero O(p^N) the true
         valuation is only known to be >= N; the lower bound N is returned.
         """
-        if self._val is not None:
-            return self._val
-        return INF if self._prec is None else self._prec
+        return INF if self._val is None else self._val
 
     @property
     def prec(self):
@@ -158,19 +156,18 @@ class PAdic:
 
     @property
     def rel_prec(self):
-        return self.prec - self.valuation if self._val is not None else (
-            INF if self._prec is None else 0
-        )
+        """Known digits past the valuation: 0 for O(p^N), infinite for 0."""
+        return INF if self._prec is None else self._prec - self._val
 
     def unit_residue(self) -> int:
         """The stored unit, an integer in [1, p^(prec-val)) coprime to p."""
-        if self._val is None:
+        if self._unit == 0:
             raise ZeroArgument("a zero has no unit part")
         return self._unit
 
     def lift(self) -> Fraction:
         """The canonical rational representative p^val * unit."""
-        if self._val is None:
+        if self._unit == 0:
             return Fraction(0)
         return Fraction(self.p) ** self._val * self._unit
 
@@ -186,7 +183,7 @@ class PAdic:
         if isinstance(other, PAdic):
             return other
         if isinstance(other, (int, Fraction)):
-            if self._val is None:
+            if self._unit == 0:
                 target = self._prec if self._prec is not None else DEFAULT_PRECISION
                 return PAdic.from_rational(other, self.p, target + 1)
             if other == 0:
@@ -222,23 +219,18 @@ class PAdic:
             return b if sign > 0 else -b
         if b.is_exact_zero():
             return a
-        if a._val is None or b._val is None:
-            n = min(a.prec, b.prec)
-            x = a if b._val is None else b
-            if x._val is None:   # both inexact zeros
-                return PAdic.inexact_zero(self.p, int(n))
-            unit = -x._unit if x is b and sign < 0 else x._unit
-            return PAdic(self.p, x._val, unit, int(min(n, x.prec)))
+        p = self.p
         n = min(a._prec, b._prec)
         base = min(a._val, b._val)
-        # each prec exceeds its own val, so n - base >= 1 and the sum is
-        # integral; __init__ reduces it mod p^(n - base) and strips p from it
-        s = (a._unit * self.p ** (a._val - base)
-             + sign * b._unit * self.p ** (b._val - base))
-        return PAdic(self.p, base, s, n)
+        # a term at or past p^n is 0 mod p^n, so its power of p is never
+        # formed; __init__ reduces the sum mod p^(n - base) and strips p
+        s = a._unit * p ** (a._val - base) if a._val < n else 0
+        if b._val < n:
+            s += sign * b._unit * p ** (b._val - base)
+        return PAdic(p, base, s, n)
 
     def __neg__(self):
-        if self._val is None:
+        if self._prec is None:
             return self
         return PAdic(self.p, self._val, -self._unit, self._prec)
 
@@ -250,11 +242,6 @@ class PAdic:
         a, b = self, other
         if a.is_exact_zero() or b.is_exact_zero():
             return PAdic.zero(self.p)
-        if a._val is None or b._val is None:
-            # O(p^N) * (p^v u + O(..)) = O(p^(N+v));  O(p^N)*O(p^M) = O(p^(N+M))
-            va = a._val if a._val is not None else a._prec
-            vb = b._val if b._val is not None else b._prec
-            return PAdic.inexact_zero(self.p, va + vb)
         rel = min(a._prec - a._val, b._prec - b._val)
         val = a._val + b._val
         unit = a._unit * b._unit % (self.p ** rel)
@@ -273,9 +260,7 @@ class PAdic:
             )
         if self.is_exact_zero():
             return self
-        if self._val is None:
-            return PAdic.inexact_zero(self.p, self._prec - other._val)
-        rel = min(self.rel_prec, other.rel_prec)
+        rel = min(self._prec - self._val, other._prec - other._val)
         val = self._val - other._val
         mod = self.p ** rel
         unit = self._unit * pow(other._unit, -1, mod) % mod
@@ -294,8 +279,8 @@ class PAdic:
         power of ``p^v u + O(p^(v + r))`` is ``p^(kv) u^k + O(p^(kv + r))``;
         ``x ** 0`` is 1 at the relative precision of x, like ``x * x ** -1``.
         A zero has no relative precision, so ``0 ** 0`` is 1 at the
-        precision of a constant met by the exact zero, and ``O(p^N) ** k``
-        is ``O(p^(kN))`` for k >= 1.
+        precision of a constant met by the exact zero; for k >= 1 the rule
+        above makes ``O(p^N) ** k`` into ``O(p^(kN))``.
 
             >>> x = PAdic(3, -25, 2, -5)        # 2 * 3^-25 + O(3^-5)
             >>> x ** 0 == x * x ** -1 == PAdic(3, 0, 1, 20)
@@ -303,13 +288,13 @@ class PAdic:
         """
         if not isinstance(k, int):
             return NotImplemented
-        if self._val is None:
+        if self._unit == 0 and k < 1:
             if k < 0:
                 raise DivisionByIndistinguishableZero(
                     f"divisor is zero to precision O({self.p}^{self.prec})")
-            if k == 0:
-                return PAdic(self.p, 0, 1, DEFAULT_PRECISION)
-            return self if self._prec is None else PAdic.inexact_zero(self.p, k * self._prec)
+            return PAdic(self.p, 0, 1, DEFAULT_PRECISION)
+        if self._prec is None:
+            return self
         rel = self._prec - self._val
         return PAdic(self.p, k * self._val, pow(self._unit, k, self.p ** rel),
                      k * self._val + rel)
@@ -338,7 +323,7 @@ class PAdic:
     def __repr__(self):
         if self.is_exact_zero():
             return f"PAdic(0; p={self.p})"
-        if self._val is None:
+        if self._unit == 0:
             return f"PAdic(O({self.p}^{self._prec}))"
         return f"PAdic({self._unit}*{self.p}^{self._val} + O({self.p}^{self._prec}))"
 
@@ -348,7 +333,7 @@ class PAdic:
         """Interchange form with decimal-string fields."""
         if self.is_exact_zero():
             return {"val": "inf", "unit": "0", "prec": "inf"}
-        if self._val is None:
+        if self._unit == 0:
             return {"val": None, "unit": "0", "prec": str(self._prec)}
         return {
             "val": str(self._val),
@@ -364,7 +349,12 @@ class PAdic:
         unit = as_int(obj.get("unit", "0"), "unit")
         if obj.get("val") is None or unit == 0:
             return cls.inexact_zero(p, prec)
-        return cls(p, as_int(obj["val"], "val"), unit, prec)
+        val = as_int(obj["val"], "val")
+        if (prec - val) * p.bit_length() > MAX_RESIDUE_BITS:
+            raise UnsupportedRegime(
+                f"prec - val = {prec - val} is too large at p = {p}: residues "
+                f"mod p^(prec - val) must fit in {MAX_RESIDUE_BITS} bits")
+        return cls(p, val, unit, prec)
 
 
 # ---------------------------------------------------------------------------

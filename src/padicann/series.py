@@ -5,10 +5,10 @@ slope -s and horizontal length L certifies exactly L zeros of valuation s in
 the algebraic closure (counted with multiplicity), and the total number of
 zeros with nonzero finite valuation equals the width of the exponent support.
 
-Coefficients that are only known to be O(p^N) are kept as *bound points*
-(true valuation >= N).  If such a point could sit on or below the hull built
-from the definite coefficients, the polygon is flagged provisional and zero
-counts refuse to commit.
+A coefficient known only to be O(p^N) is the point (n, N) with its true
+height unknown at or above N.  If adding such points changes the hull built
+from the definite coefficients, they could move it, so the polygon is flagged
+provisional and zero counts refuse to commit.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .intpoly import as_int, as_rational
-from .padic import DEFAULT_PRECISION, PAdic
-
-
-# every coefficient is a residue mod p^prec, so that size is bounded
-_MAX_PREC_BITS = 1 << 21
+from .padic import DEFAULT_PRECISION, MAX_RESIDUE_BITS, PAdic
 
 
 class LaurentPoly:
@@ -39,10 +35,10 @@ class LaurentPoly:
         embedded; PAdic terms keep their own.  Exact zeros are dropped;
         inexact zeros are kept as precision bounds.
         """
-        if prec * p.bit_length() > _MAX_PREC_BITS:
+        if prec * p.bit_length() > MAX_RESIDUE_BITS:
             raise UnsupportedRegime(
                 f"prec {prec} is too large at p = {p}: residues mod p^prec "
-                f"must fit in {_MAX_PREC_BITS} bits")
+                f"must fit in {MAX_RESIDUE_BITS} bits")
         self.p = p
         coeffs = {}
         for n, c in terms.items():
@@ -71,9 +67,6 @@ class LaurentPoly:
 
     def definite_terms(self):
         return {n: c for n, c in self.terms.items() if not c.is_zero()}
-
-    def bound_terms(self):
-        return {n: c for n, c in self.terms.items() if c.is_zero()}
 
     def support(self):
         d = self.definite_terms()
@@ -177,9 +170,8 @@ class LaurentData:
 class NewtonPolygon:
     """Lower convex hull of (exponent, coefficient valuation) points."""
 
-    def __init__(self, vertices, bound_points, provisional):
+    def __init__(self, vertices, provisional):
         self.vertices = vertices          # [(n, v)] int points, increasing slopes
-        self.bound_points = bound_points  # [(n, N)] meaning v(a_n) >= N
         self.provisional = provisional
 
     def slopes(self):
@@ -188,17 +180,6 @@ class NewtonPolygon:
         for (n1, v1), (n2, v2) in zip(self.vertices, self.vertices[1:]):
             out.append((Fraction(v2 - v1, n2 - n1), n2 - n1))
         return out
-
-    def value_at(self, x):
-        """Hull ordinate at abscissa x (None outside the hull's x-range)."""
-        if not self.vertices:
-            return None
-        if x < self.vertices[0][0] or x > self.vertices[-1][0]:
-            return None
-        for (n1, v1), (n2, v2) in zip(self.vertices, self.vertices[1:]):
-            if n1 <= x <= n2:
-                return v1 + Fraction(v2 - v1, n2 - n1) * (x - n1)
-        return Fraction(self.vertices[0][1])
 
     def __repr__(self):
         flag = ", provisional" if self.provisional else ""
@@ -224,6 +205,11 @@ def newton_polygon(f: LaurentPoly) -> NewtonPolygon:
     """Lower hull of the (n, v(a_n)) cloud, with O(p^N) coefficients flagged.
 
     The points are ints, so the hull is built on integer cross-products.
+    ``_lower_hull`` keeps only strictly convex vertices and no O(p^N) term
+    shares an exponent with a definite one, so the hull of every term at its
+    ``valuation`` equals the definite hull exactly when each O(p^N) point
+    lies inside its x-range and on or above it, the one case where no true
+    height at or above N can move the hull.
     """
     definite = f.definite_terms()
     if not definite:
@@ -231,19 +217,9 @@ def newton_polygon(f: LaurentPoly) -> NewtonPolygon:
             "no coefficient is nonzero at its precision"
         )
     hull = _lower_hull([(n, c.valuation) for n, c in definite.items()])
-    bounds = [(n, c.prec) for n, c in f.bound_terms().items()]
-    provisional = False
-    lo, hi = hull[0][0], hull[-1][0]
-    poly = NewtonPolygon(hull, bounds, False)
-    for n, b in bounds:
-        if n < lo or n > hi:
-            provisional = True   # could extend the hull sideways
-            break
-        if b < poly.value_at(n):
-            provisional = True   # could push the hull down
-            break
-    poly.provisional = provisional
-    return poly
+    provisional = len(definite) < len(f.terms) and hull != _lower_hull(
+        [(n, c.valuation) for n, c in f.terms.items()])
+    return NewtonPolygon(hull, provisional)
 
 
 def count_zeros_valuation_range(

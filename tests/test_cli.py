@@ -608,3 +608,23 @@ def test_fuzzed_coefficient_lists_are_quick_json_errors(coeffs, at, bad):
     tokens = [str(c) for c in coeffs]
     tokens.insert(at, bad)
     _assert_quick_json_error(["search-points", "--height", "3", "--", ",".join(tokens)])
+
+
+# each of these ran until killed: a residue mod 3^(10^8), a descent on a
+# double root that never certifies, and an audit of all 3^20 classes
+@pytest.mark.parametrize("command, job", [
+    ("integrate", {"integrand": {"ell": {"p": 3, "terms": {"1": "1"}},
+                                 "c": "0", "domain": ["0", "4"]},
+                   "xi0": {"val": "1", "unit": "1", "prec": "100000000"}, "xi1": "6"}),
+    ("count-zeros", {"p": 3, "window": ["0", "2"], "terms": {
+        "0": "-3", "1": {"val": "0", "unit": "1", "prec": "1000000000"}}}),
+    ("verify-zeros", {"p": 3, "terms": {"0": "1", "1": "-2", "2": "1"},
+                      "window": ["-1", "1"], "N": 10000000}),
+    ("verify-cover", {"p": 3, "precision": 30, "f": [
+        str(c) for c in monic_from_roots([0, 3**20, 2 * 3**20, 1, 2])]}),
+], ids=["integrate-huge-xi0-prec", "count-zeros-huge-term-prec",
+        "verify-zeros-huge-N", "verify-cover-huge-audit"])
+def test_jobs_that_ran_until_killed_are_quick_json_errors(tmp_path, command, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    _assert_quick_json_error([command, str(path)])

@@ -253,10 +253,12 @@ def test_as_rational_reads_floats_that_print_with_an_exponent(v, expected):
     assert as_rational(v, "c") == expected
 
 
-# exponent notation is refused in strings only, and nan and the infinities
-# get the same message as any other value that is not a rational
+# exponent notation is refused in strings only, and nan, the infinities and
+# strings that are no fraction get the same message as any other value that
+# is not a rational
 @pytest.mark.parametrize("v", [True, False, "1e10000000", "2E3", float("nan"), None,
-                               [1], float("inf"), float("-inf")])
+                               [1], float("inf"), float("-inf"),
+                               "abc", "1/0", "", "2**3"])
 def test_as_rational_refuses_booleans_and_exponents(v):
     with pytest.raises(ValueError, match="c must be a rational"):
         as_rational(v, "c")

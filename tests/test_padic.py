@@ -6,6 +6,7 @@ the code under test.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,39 @@ def test_difference_is_the_sum_with_the_negation(data, p):
     assert x - x == x + (-x)
     if not isinstance(y, PAdic):
         assert y - x == (-x) + y
+
+
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 10007)), N=st.integers(-10, 10))
+@settings(max_examples=400, deadline=None)
+def test_an_inexact_zero_follows_the_general_rules(data, p, N):
+    # the expected values are the rules that inexact zeros once had their
+    # own branches for; they now come out of the general formulas
+    x = PAdic.inexact_zero(p, N)
+    y = data.draw(_elements(p))
+    n = min(N, y.prec)
+
+    def known_to(z, n):
+        return PAdic.inexact_zero(p, n) if z.is_zero() else \
+            PAdic(p, z.valuation, z.unit_residue(), n)
+
+    assert x + y == y + x == known_to(y, n)
+    assert x - y == known_to(-y, n)
+    assert y - x == known_to(y, n)
+    assert x * y == y * x == (
+        PAdic.zero(p) if y.is_exact_zero() else PAdic.inexact_zero(p, N + y.valuation))
+    if not y.is_zero():
+        assert x / y == PAdic.inexact_zero(p, N - y.valuation)
+    for k in (1, 2, 3):
+        assert x**k == PAdic.inexact_zero(p, k * N)
+    assert -x == x and x.rel_prec == 0 and x.valuation == x.prec == N
+
+
+def test_a_term_past_the_sum_precision_is_never_expanded():
+    # 3^(10^8) is never formed: the term is 0 mod 3^20
+    start = time.perf_counter()
+    a, far = PAdic(3, 0, 1, 20), PAdic(3, 10**8, 1, 10**8 + 5)
+    assert a + far == a - far == far + a == a
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------

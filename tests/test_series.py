@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicann.bounds import Delta, delta, zero_bound_disk
@@ -63,13 +63,6 @@ class TestNewtonPolygon:
         poly = newton_polygon(f)
         assert poly.slopes() == [(Fraction(-2), 1), (Fraction(1), 2)]
 
-    def test_value_at_interpolates(self):
-        f = L(3, {0: -27, 2: 1})
-        poly = newton_polygon(f)
-        assert poly.value_at(1) == Fraction(3, 2)
-        assert poly.value_at(Fraction(1, 2)) == Fraction(9, 4)
-        assert poly.value_at(3) is None
-
     def test_all_zero_coefficients_rejected(self):
         f = L(3, {0: PAdic.inexact_zero(3, 5), 2: PAdic.inexact_zero(3, 7)})
         with pytest.raises(AllCoefficientsIndistinguishableFromZero):
@@ -99,6 +92,37 @@ class TestProvisionalFlag:
         f = L(3, {0: -27, 1: PAdic.inexact_zero(3, 1), 2: 1})
         with pytest.raises(ProvisionalPolygon):
             count_zeros_valuation_range(f, 0, 10)
+
+    @given(p=st.sampled_from((2, 3, 5)), data=st.data())
+    @example(p=3, data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_provisional_is_the_pointwise_rule(self, p, data):
+        # the rule is written out here: an O(p^N) term (n, N) could move the
+        # hull when n lies outside the definite terms' x-range, or N lies
+        # strictly below the hull at n.  The hull's height at n is the least
+        # chord through definite points on either side of n, in Fractions.
+        if data is None:   # O(3^1) on the chord from (0, 3) to (2, 0), then below it
+            terms = {0: PAdic(3, 3, 1, 6), 1: PAdic.inexact_zero(3, 1), 2: PAdic(3, 0, 1, 3),
+                     4: PAdic(3, 0, 1, 3), 3: PAdic.inexact_zero(3, 0)}
+        else:
+            terms = {}
+            for n in data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=8,
+                                        unique=True)):
+                v = data.draw(st.integers(-4, 6))
+                terms[n] = (PAdic.inexact_zero(p, v) if data.draw(st.booleans())
+                            else PAdic(p, v, 1, v + 3))
+        definite = [(n, c.valuation) for n, c in terms.items() if not c.is_zero()]
+        assume(definite)
+
+        def height(x):
+            return min(Fraction(v1) + Fraction(v2 - v1, n2 - n1) * (x - n1)
+                       if n1 < n2 else Fraction(v1)
+                       for n1, v1 in definite for n2, v2 in definite if n1 <= x <= n2)
+
+        lo, hi = min(n for n, _ in definite), max(n for n, _ in definite)
+        expected = any(not lo <= n <= hi or c.prec < height(n)
+                       for n, c in terms.items() if c.is_zero())
+        assert newton_polygon(L(p, terms)).provisional == expected
 
 
 class TestZeroCounts:
