@@ -38,8 +38,8 @@ _JOB_KEYS = {
     "verify-cover": _CURVE,
     "pullback": {"curve": _CURVE, "annulus_index": None, "u_tilde": None},
     "count-zeros": dict(_LAURENT, window=None, include_lo=None, include_hi=None),
-    "verify-zeros": {"p": None, "prec": None, "terms": None, "window": None,
-                     "N": None},
+    "verify-zeros": {"p": None, "prec": None, "terms": {"*": None},
+                     "window": None, "N": None},
     "integrate": {"integrand": {"ell": _LAURENT, "c": _PADIC, "a": _PADIC,
                                 "domain": None},
                   "xi0": _PADIC, "xi1": _PADIC, "mode": None},
@@ -59,6 +59,8 @@ def _refuse_unknown_keys(obj, spec, path: str) -> None:
                                  f"{', '.join(sorted(spec))}")
             _refuse_unknown_keys(value, spec.get(key, spec.get("*")),
                                  f"{path}{key}.")
+    elif isinstance(spec, dict) and "*" in spec:
+        raise ValueError(f"{path[:-1]!r} must be a JSON object, got {obj!r}")
     elif isinstance(spec, list) and isinstance(obj, list):
         for i, item in enumerate(obj):
             _refuse_unknown_keys(item, spec[0], f"{path}{i}.")
@@ -164,7 +166,7 @@ def _cmd_pullback(args) -> int:
         raise ValueError(f"annulus_index {idx} out of range "
                          f"(decomposition has {len(dec.annuli)} annuli)")
     ann = dec.annuli[idx]
-    ld = pullback_differential(ann, [as_rational(c, "u_tilde") for c in job["u_tilde"]])
+    ld = pullback_differential(ann, job["u_tilde"])
     support = ld.u.support()
     n1, n2 = ann.window
     inside = support is None or (n1 <= support[0] and support[1] <= n2)
@@ -230,7 +232,7 @@ def _cmd_integrate(args) -> int:
         integrand = AnnulusIntegrand(
             ell, c,
             None if a is None else _padic_in(a, "a", p, prec),
-            tuple(as_rational(v, "domain") for v in idef.get("domain", (0, 1))),
+            idef.get("domain", (0, 1)),
         )
         if mode == "annulus":
             value = integrate_annulus(integrand, xi0, xi1)
@@ -268,8 +270,7 @@ def _cmd_graph_check(args) -> int:
 def _cmd_search_points(args) -> int:
     from .oracle import search_rational_points
 
-    coeffs = [as_rational(c, "coefficient") for c in args.coeffs.split(",")]
-    _emit(search_rational_points(coeffs, args.height).to_dict())
+    _emit(search_rational_points(args.coeffs.split(","), args.height).to_dict())
     return 0
 
 
@@ -289,13 +290,11 @@ def _cmd_verify_zeros(args) -> int:
     job = _read_job(args.job, "verify-zeros")
     p = as_int(job["p"], "p")
     prec = as_int(job.get("prec", DEFAULT_PRECISION), "prec")
-    # both sides read the same exact rationals; a {"val", "unit", "prec"}
-    # term is known only mod p^prec, so it is refused here
-    terms = {int(n): as_rational(c, f"term {n}") for n, c in job["terms"].items()}
-    L = LaurentPoly(p, terms, prec)
+    # both sides read exact rationals, so a {"val", "unit", "prec"} term is refused
+    L = LaurentPoly(p, job["terms"], prec)
     lo, hi = (as_rational(v, "window") for v in job["window"])
     newton = count_zeros_valuation_range(L, lo, hi)
-    oracle = enumerate_padic_zeros(terms, p, (lo, hi), as_int(job.get("N", 6), "N"))
+    oracle = enumerate_padic_zeros(job["terms"], p, (lo, hi), as_int(job.get("N", 6), "N"))
     _emit(
         {
             "window": [str(lo), str(hi)],
@@ -326,7 +325,7 @@ def _cmd_selftest(args) -> int:
         _write_out(args.out, {
             "criteria": [
                 {"id": r.id, "name": r.name, "ok": r.ok, "detail": r.detail,
-                 "budget": r.budget}
+                 "elapsed": r.elapsed, "budget": r.budget}
                 for r in results
             ],
             "ok": not failed,

@@ -217,7 +217,7 @@ class HyperellipticCurve:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            [as_rational(c, "f") for c in obj["f"]],
+            obj["f"],
             as_int(obj["p"], "p"),
             as_int(obj.get("precision", DEFAULT_PRECISION), "precision"),
         )
@@ -589,18 +589,18 @@ def pullback_differential(A: AnnulusDescriptor, u_tilde) -> "LaurentData":
     """Laurent part of the pullback of u_tilde(x) dx / (2y) to the annulus.
 
     u_tilde is given by ascending rational coefficients of a polynomial of
-    degree at most g-1.  They stay exact, so each term of the result is known
-    to the precision of the center, gamma and alpha.  The unit factor of the
-    pullback carries no zeros and is left symbolic; only the Laurent
-    polynomial that controls zero counts returns.
+    degree at most g-1, read by ``as_rational``.  They stay exact, so each
+    term of the result is known to the precision of the center, gamma and
+    alpha.  The unit factor of the pullback carries no zeros and is left
+    symbolic; only the Laurent polynomial that controls zero counts returns.
     """
     from .series import LaurentData, LaurentPoly
 
+    coeffs = [as_rational(c, "u_tilde") for c in u_tilde]
     g = A.genus
     if A.gamma is None:
         raise MissingAlpha("annulus descriptor lacks gamma")
     p = A.gamma.p
-    coeffs = [Fraction(c) for c in u_tilde]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) - 1 > g - 1:

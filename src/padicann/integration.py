@@ -20,6 +20,7 @@ from .errors import (
     OutsideDomain,
     WindowViolation,
 )
+from .intpoly import as_rational
 from .padic import PAdic, log0
 from .series import LaurentData, LaurentPoly, count_zeros_valuation_range, formal_integrate
 
@@ -33,7 +34,8 @@ class AnnulusIntegrand:
 
     def __post_init__(self):
         lo, hi = self.domain
-        object.__setattr__(self, "domain", (Fraction(lo), Fraction(hi)))
+        object.__setattr__(self, "domain", (as_rational(lo, "domain"),
+                                            as_rational(hi, "domain")))
 
     @property
     def p(self):

@@ -90,17 +90,18 @@ def as_int(v, name: str) -> int:
 
 
 def as_rational(v, name: str) -> Fraction:
-    """``v`` read as a rational: an int, or a string or float such as "-3",
-    "7/2" or 0.25.
+    """``v`` read as a rational: an int or Fraction, or a string or float
+    such as "-3", "7/2" or 0.25.
 
-    A float is read through its shortest decimal form, so 0.00001 (which
-    prints as 1e-05) is 1/100000.  Raises ValueError for true/false, for
-    nan and the infinities, for exponent notation in a string, where the
-    ten characters "1e10000000" would build a ten-million-digit integer,
-    and for a string that is no fraction, such as "abc" or "1/0".
+    A float is read through its shortest decimal form, so 0.01 is 1/100
+    and 0.00001 (which prints as 1e-05) is 1/100000.  Raises ValueError for
+    true/false, nan and the infinities, exponent notation in a string,
+    where the ten characters "1e10000000" would build a ten-million-digit
+    integer, and a string that is no fraction, such as "abc" or "1/0".
     """
-    if isinstance(v, int) and not isinstance(v, bool) \
-            or isinstance(v, float) and math.isfinite(v) \
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return v if type(v) is Fraction else Fraction(v)
+    if isinstance(v, float) and math.isfinite(v) \
             or isinstance(v, str) and "e" not in v.lower():
         try:
             return Fraction(str(v))
@@ -221,12 +222,12 @@ def poly_gcd_degree(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
 
 
 def squarefree_coefficients(f, min_degree: int) -> List[Fraction]:
-    """``f`` parsed to Fractions, trailing zeros stripped.
+    """``f`` read to Fractions by ``as_rational``, trailing zeros stripped.
 
     Raises ValueError when the degree is below ``min_degree`` or f has a
     repeated factor.
     """
-    coeffs = _strip([Fraction(c) for c in f])
+    coeffs = _strip([as_rational(c, "f") for c in f])
     if len(coeffs) - 1 < min_degree:
         raise ValueError(f"f must have degree >= {min_degree}")
     ints = clear_denominators(coeffs)

@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import CertificationFailed, CoverageGap, DoubleCover, UnsupportedRegime
 from .intpoly import (
+    as_int,
+    as_rational,
     clear_denominators,
     is_prime,
     square_scaled,
@@ -200,7 +202,7 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     """Count zeros of f in Q_p with valuation strictly inside ``window``.
 
     f is exact: a list of ascending coefficients, or a dict from exponent
-    to coefficient (a Laurent polynomial), each an int, Fraction or string.
+    to coefficient (a Laurent polynomial), read by ``as_int``/``as_rational``.
     Zeros in Q_p have integer valuations, and only valuations where two
     terms of f tie can hold one (``_tied_valuations``).  So the search
     runs over those integers m in the open window, however wide it is, and
@@ -219,7 +221,7 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
         raise ValueError(f"N = {N} is too large: the descent reads at most 64 digits")
     if not isinstance(f, dict):
         f = dict(enumerate(f))
-    terms = {int(n): Fraction(c) for n, c in f.items()}
+    terms = {as_int(n, "exponent"): as_rational(c, f"term {n}") for n, c in f.items()}
     terms = {n: c for n, c in terms.items() if c}
     if not terms:
         raise ValueError("the zero polynomial has no isolated zeros")
@@ -231,7 +233,7 @@ def enumerate_padic_zeros(f, p: int, window, N: int = 6) -> int:
     if len(ints) == 1:
         return 0
 
-    lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = (as_rational(v, "window") for v in window)
     return sum(_count_at_valuation(ints, p, m, N)
                for m in _tied_valuations(ints, p) if lo < m < hi)
 

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedRegime,
     ZeroArgument,
 )
-from .intpoly import INF, as_int, is_prime, vp  # also re-exported as padicann.padic.vp / .INF
+from .intpoly import INF, as_int, as_rational, is_prime, vp  # INF, vp: re-exported
 
 DEFAULT_PRECISION = 20
 
@@ -66,9 +66,9 @@ class PAdic:
         """Build ``p^val * unit + O(p^prec)``; prefer the classmethods.
 
         ``prec=None`` builds the exact zero, stored with ``val = prec = None``.
-        A unit that vanishes mod ``p^(prec - val)``, or ``val=None``, gives
-        the inexact zero ``O(p^prec)``, stored as valuation ``prec`` and unit
-        0; a ``val`` past ``prec`` leaves no digit, so it gives that zero too.
+        A unit that vanishes mod ``p^(prec - val)`` gives the inexact zero
+        ``O(p^prec)``, stored as valuation ``prec`` and unit 0; a ``val`` at
+        or past ``prec`` leaves no digit, so it gives that zero too.
         """
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
@@ -80,7 +80,7 @@ class PAdic:
             self._unit = 0
             return
         prec = int(prec)
-        val = prec if val is None else int(val)
+        val = int(val)
         unit = unit % p ** (prec - val) if val < prec else 0
         if unit == 0:
             val = prec
@@ -103,7 +103,7 @@ class PAdic:
     @classmethod
     def inexact_zero(cls, p: int, prec: int) -> "PAdic":
         """O(p^prec): indistinguishable from zero modulo p^prec."""
-        return cls(p, None, 0, prec)
+        return cls(p, prec, 0, prec)
 
     @classmethod
     def from_int(cls, n: int, p: int, prec: int = DEFAULT_PRECISION) -> "PAdic":
@@ -114,10 +114,11 @@ class PAdic:
                       val=None) -> "PAdic":
         """Embed a rational exactly, truncated at absolute precision ``prec``.
 
-        ``val`` is v_p(q) when the caller has it already.
+        A q of another type than int or Fraction (a bool too) is read by
+        ``as_rational``; ``val`` is v_p(q) when the caller has it already.
         """
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+        if type(q) is not int and type(q) is not Fraction:
+            q = as_rational(q, "q")
         if q == 0:
             return cls.zero(p)
         if val is None:
@@ -178,20 +179,19 @@ class PAdic:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
 
     def _coerce(self, other):
-        """Embed an int/Fraction operand at the relative precision of ``self``:
-        the one place that chooses the precision of a constant."""
+        """Embed an int/Fraction operand c, the one place that chooses the
+        precision of a constant: to max(prec, v(c) + max(1, prec - val)), so
+        O(p^N) * c is O(p^(N + v(c))), or to ``DEFAULT_PRECISION`` against
+        the exact zero, which has no precision."""
         if isinstance(other, PAdic):
             return other
-        if isinstance(other, (int, Fraction)):
-            if self._unit == 0:
-                target = self._prec if self._prec is not None else DEFAULT_PRECISION
-                return PAdic.from_rational(other, self.p, target + 1)
-            if other == 0:
-                return PAdic.zero(self.p)
-            v = vp(other, self.p)
-            target = max(self._prec, v + self._prec - self._val)
-            return PAdic.from_rational(other, self.p, target, v)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if self._prec is None:
+            return PAdic.from_rational(other, self.p)
+        v = vp(other, self.p)
+        target = max(self._prec, v + max(1, self._prec - self._val))
+        return PAdic.from_rational(other, self.p, target, v)
 
     def __add__(self, other):
         return self._add(other, 1)

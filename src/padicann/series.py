@@ -29,11 +29,10 @@ class LaurentPoly:
     """A finite Laurent polynomial sum a_n z^n with PAdic coefficients."""
 
     def __init__(self, p, terms, prec=DEFAULT_PRECISION):
-        """``terms`` maps integer exponents to PAdic/int/Fraction coefficients.
-
-        ``prec`` is the absolute precision at which int/Fraction terms are
-        embedded; PAdic terms keep their own.  Exact zeros are dropped;
-        inexact zeros are kept as precision bounds.
+        """``terms`` maps exponents, read by ``as_int``, to PAdic coefficients
+        or rationals, read by ``as_rational`` and embedded at absolute
+        precision ``prec``; PAdic terms keep their own.  Exact zeros are
+        dropped; inexact zeros are kept as precision bounds.
         """
         if prec * p.bit_length() > MAX_RESIDUE_BITS:
             raise UnsupportedRegime(
@@ -42,9 +41,9 @@ class LaurentPoly:
         self.p = p
         coeffs = {}
         for n, c in terms.items():
-            n = int(n)
+            n = as_int(n, "exponent")
             if not isinstance(c, PAdic):
-                c = PAdic.from_rational(Fraction(c), p, prec)
+                c = PAdic.from_rational(as_rational(c, f"term {n}"), p, prec)
             elif c.p != p:
                 raise ValueError("coefficient prime mismatch")
             if c.is_exact_zero():
@@ -134,12 +133,8 @@ class LaurentPoly:
     def from_json(cls, obj):
         p = as_int(obj["p"], "p")
         prec = as_int(obj.get("prec", DEFAULT_PRECISION), "prec")
-        terms = {}
-        for n, c in obj["terms"].items():
-            if isinstance(c, dict):
-                terms[int(n)] = PAdic.from_json(c, p)
-            else:
-                terms[int(n)] = as_rational(c, f"term {n}")
+        terms = {n: PAdic.from_json(c, p) if isinstance(c, dict) else c
+                 for n, c in obj["terms"].items()}
         return cls(p, terms, prec)
 
 
@@ -152,8 +147,7 @@ class LaurentData:
     """
 
     def __init__(self, u: LaurentPoly, domain):
-        lo, hi = domain
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = (as_rational(v, "domain") for v in domain)
         if not lo < hi:
             raise OutsideDomain(f"empty annulus domain ({lo}, {hi})")
         self.u = u
@@ -230,7 +224,7 @@ def count_zeros_valuation_range(
     ``f`` may be a LaurentPoly or a LaurentData; for the latter the range is
     intersected with the annulus domain and the unit factor is ignored.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = as_rational(lo, "window"), as_rational(hi, "window")
     if isinstance(f, LaurentData):
         dlo, dhi = f.domain
         if lo < dlo:

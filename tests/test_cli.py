@@ -509,6 +509,7 @@ def test_selftest_matrix_output(capsys, monkeypatch, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["ok"] is True and len(payload["criteria"]) == 2
     assert [c["budget"] for c in payload["criteria"]] == [1.0, 1.0]
+    assert [c["elapsed"] for c in payload["criteria"]] == [0.01, 0.01]
 
 
 def test_selftest_failure_exit_code(capsys, monkeypatch):
@@ -559,6 +560,7 @@ def _assert_quick_json_error(argv):
     assert code == 1 and out.getvalue() == "", argv
     error = json.loads(err.getvalue())["error"]
     assert error["type"] and error["message"]
+    return error
 
 
 @pytest.mark.parametrize("command", sorted(_FUZZ_JOBS))
@@ -608,6 +610,31 @@ def test_fuzzed_coefficient_lists_are_quick_json_errors(coeffs, at, bad):
     tokens = [str(c) for c in coeffs]
     tokens.insert(at, bad)
     _assert_quick_json_error(["search-points", "--height", "3", "--", ",".join(tokens)])
+
+
+# a terms value that is no JSON object is refused by its path; reading it
+# as one raised an AttributeError that printed a traceback
+@pytest.mark.parametrize("bad", [[1, 2], "terms", 3, True, None])
+@pytest.mark.parametrize("command, job, path", [
+    ("count-zeros", _zeros_job(3), ()),
+    ("verify-zeros", _zeros_job(3), ()),
+    ("integrate", {"integrand": {"ell": {"p": 3, "terms": {"1": "1"}},
+                                 "c": "0", "domain": ["0", "4"]},
+                   "xi0": "3", "xi1": "6"}, ("integrand", "ell")),
+])
+def test_terms_that_are_no_object_are_quick_json_errors(tmp_path, command, job,
+                                                        path, bad):
+    job = copy.deepcopy(job)
+    target = job
+    for key in path:
+        target = target[key]
+    target["terms"] = bad
+    file = tmp_path / "job.json"
+    file.write_text(json.dumps(job))
+    error = _assert_quick_json_error([command, str(file)])
+    assert error["type"] == "ValueError"
+    assert error["message"] == (f"{'.'.join(path + ('terms',))!r} must be a JSON "
+                                f"object, got {bad!r}")
 
 
 # each of these ran until killed: a residue mod 3^(10^8), a descent on a

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicann.curves import HyperellipticCurve
+from padicann.curves import HyperellipticCurve, decompose, pullback_differential
+from padicann.integration import AnnulusIntegrand
 from padicann.intpoly import (
+    as_int,
     as_rational,
     clear_denominators,
     is_prime,
@@ -16,7 +18,10 @@ from padicann.intpoly import (
     squarefree_coefficients,
     vp,
 )
+from padicann.oracle import enumerate_padic_zeros
+from padicann.padic import PAdic
 from padicann.padic import vp as padic_vp
+from padicann.series import LaurentData, LaurentPoly, count_zeros_valuation_range
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 
@@ -262,3 +267,66 @@ def test_as_rational_reads_floats_that_print_with_an_exponent(v, expected):
 def test_as_rational_refuses_booleans_and_exponents(v):
     with pytest.raises(ValueError, match="c must be a rational"):
         as_rational(v, "c")
+
+
+# Every library entry point reads a number by as_rational or as_int, like
+# the CLI: each rational field below, by the name its message gives, and a
+# call that puts v there.  The double nearest 0.01 is 5764607523034235/2^59,
+# so an entry point that read it with Fraction(v) would see another curve,
+# polynomial or constant than one given 1/100.
+def _annulus():
+    return decompose(HyperellipticCurve([-120, 274, -225, 85, -15, 1], 3)).annuli[0]
+
+
+_RATIONAL_FIELDS = [
+    pytest.param("f", lambda v: squarefree_coefficients([v, 0, 0, 1], 3),
+                 id="squarefree_coefficients"),
+    pytest.param("f", lambda v: HyperellipticCurve([v, 0, 0, 0, 0, 1], 3).f,
+                 id="HyperellipticCurve"),
+    pytest.param("term 0", lambda v: LaurentPoly(3, {0: v, 1: 1}).terms, id="LaurentPoly"),
+    # -x^2 + 1/100 has the two zeros of valuation -1 in Q_5, -x^2 + the
+    # double none: its constant has odd 5-adic valuation
+    pytest.param("term 2", lambda v: enumerate_padic_zeros({2: v, 0: Fraction(-1, 100)},
+                                                           5, (-5, 5)),
+                 id="enumerate_padic_zeros"),
+    pytest.param("window", lambda v: enumerate_padic_zeros({2: 100, 0: -1}, 5, (-5, v)),
+                 id="enumerate_padic_zeros-window"),
+    pytest.param("u_tilde", lambda v: pullback_differential(_annulus(), [v]).u.terms,
+                 id="pullback_differential"),
+    pytest.param("q", lambda v: PAdic.from_rational(v, 3, 5), id="from_rational"),
+    # z^100 - 3 has its 100 zeros at valuation 1/100, just below the double
+    pytest.param("window", lambda v: count_zeros_valuation_range(
+        LaurentPoly(3, {100: 1, 0: -3}), v, 1, include_lo=True),
+                 id="count_zeros_valuation_range"),
+    pytest.param("domain", lambda v: LaurentData(LaurentPoly(3, {0: 1}), (v, 1)).domain,
+                 id="LaurentData"),
+    pytest.param("domain", lambda v: AnnulusIntegrand(
+        LaurentPoly(3, {0: 1}), PAdic.zero(3), None, (v, 1)).domain,
+                 id="AnnulusIntegrand"),
+]
+_EXPONENT_FIELDS = {
+    "LaurentPoly": lambda n: LaurentPoly(3, {n: 1, 0: -3}).terms,
+    "enumerate_padic_zeros": lambda n: enumerate_padic_zeros({n: 1, 0: -3}, 3, (-5, 5)),
+}
+
+
+@pytest.mark.parametrize("field, read", _RATIONAL_FIELDS)
+def test_entry_points_read_rationals_like_the_cli(field, read):
+    assert read(0.01) == read(Fraction(1, 100)) == read("1/100")
+    for bad in (True, "1e5"):
+        with pytest.raises(ValueError, match=f"^{field} must be a rational"):
+            read(bad)
+
+
+@pytest.mark.parametrize("entry", sorted(_EXPONENT_FIELDS))
+@pytest.mark.parametrize("bad", [1.5, True, "1e5"])
+def test_entry_points_refuse_an_exponent_that_is_no_integer(entry, bad):
+    with pytest.raises(ValueError, match="^exponent must be an integer"):
+        _EXPONENT_FIELDS[entry](bad)
+    assert _EXPONENT_FIELDS[entry]("1") == _EXPONENT_FIELDS[entry](1)
+
+
+@pytest.mark.parametrize("v", [7, -(3**40), Fraction(-7, 9)])
+def test_readers_take_ints_and_fractions_by_value(v):
+    assert as_rational(v, "c") == v and type(as_rational(v, "c")) is Fraction
+    assert as_rational(v, "c") is v if isinstance(v, Fraction) else as_int(v, "n") is v

@@ -263,6 +263,14 @@ def test_search_odd_degree_example():
     assert r.count == 4
 
 
+def test_search_reads_a_float_coefficient_by_its_decimal():
+    # the double nearest 0.01 is 5764607523034235/2^59, and y^2 = x^3 + that
+    # has only the point at infinity: (0, 1/10) and (0, -1/10) would be lost
+    r = search_rational_points([0.01, 0, 0, 1], 20)
+    assert r.count == 3
+    assert r.affine == ((Fraction(0), Fraction(-1, 10)), (Fraction(0), Fraction(1, 10)))
+
+
 def test_search_even_degree_square_lc():
     r = search_rational_points([1, 0, 0, 0, 0, 0, 1], 5)
     assert r.infinity_points == 2
@@ -579,7 +587,7 @@ def test_enumerate_refuses_a_p_that_is_not_prime(p):
 
 def test_enumerate_rejects_inexact_and_zero():
     # a p-adic coefficient is known only mod p^prec: not read as a rational
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="term 0 must be a rational"):
         enumerate_padic_zeros({0: PAdic.from_rational(-3, 3, 20), 1: 1}, 3, (0, 2), 6)
     with pytest.raises(ValueError):
         enumerate_padic_zeros({}, 3, (0, 2), 6)

@@ -21,6 +21,7 @@ from padicann.errors import (
 )
 from padicann.intpoly import is_qp_square
 from padicann.padic import (
+    DEFAULT_PRECISION,
     PAdic,
     is_square,
     log0,
@@ -251,6 +252,41 @@ def test_an_inexact_zero_follows_the_general_rules(data, p, N):
     for k in (1, 2, 3):
         assert x**k == PAdic.inexact_zero(p, k * N)
     assert -x == x and x.rel_prec == 0 and x.valuation == x.prec == N
+
+
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 10007)), N=st.integers(0, 20))
+@settings(max_examples=400, deadline=None)
+def test_an_inexact_zero_meets_a_constant_by_the_one_rule(data, p, N):
+    # a constant c is embedded to max(N, v(c) + 1) digits: never below one
+    # digit of its own, so a product or quotient keeps the full N + v(c)
+    v = data.draw(st.integers(-3, N + 6))
+    num = data.draw(st.integers(-10**6, 10**6).filter(lambda u: u % p))
+    den = data.draw(st.integers(1, 10**3).filter(lambda u: u % p))
+    c = Fraction(num, den) * Fraction(p) ** v
+    if c.denominator == 1 and data.draw(st.booleans()):
+        c = int(c)
+    x = PAdic.inexact_zero(p, N)
+    assert x * c == c * x == PAdic.inexact_zero(p, N + v)
+    assert x / c == PAdic.inexact_zero(p, N - v)
+    # c known to N digits: O(p^N) once v(c) >= N
+    assert x + c == c + x == c - x == PAdic.from_rational(c, p, N)
+    assert x - c == PAdic.from_rational(-c, p, N)
+    with pytest.raises(DivisionByIndistinguishableZero):
+        c / x
+
+
+def test_the_one_constant_rule_on_zeros():
+    # these divided by zero, and gave O(3^11) and 1 + O(3^21)
+    assert PAdic.inexact_zero(3, 5) / 3**7 == PAdic.inexact_zero(3, -2)
+    assert PAdic.inexact_zero(3, 5) * 3**10 == PAdic.inexact_zero(3, 15)
+    assert PAdic.zero(3) + 1 == PAdic(3, 0, 1, 20)
+    # the exact zero has no precision, so a constant it meets is known to
+    # DEFAULT_PRECISION, like 0 ** 0
+    for p in (2, 3, 10007):
+        for c in (1, -7, Fraction(5, 9), Fraction(1, p), p**25):
+            want = PAdic.from_rational(c, p, DEFAULT_PRECISION)
+            assert PAdic.zero(p) + c == c + PAdic.zero(p) == c - PAdic.zero(p) == want
+        assert PAdic.zero(p) ** 0 == PAdic.from_rational(1, p, DEFAULT_PRECISION)
 
 
 def test_a_term_past_the_sum_precision_is_never_expanded():
